@@ -1,9 +1,9 @@
 //! The evaluation harness: regenerates every figure of the paper.
 //!
 //! ```text
-//! harness <fig8|...|fig15|outset|growth|recycle|spawncost|strandcost|all|obs|trace|chaos> [flags]
+//! harness <fig8|...|fig15|outset|growth|spawncost|strandcost|all|obs|trace|chaos> [flags]
 //!
-//! `obs`, `trace`, `recycle`, `spawncost` and `strandcost` are study
+//! `obs`, `trace`, `spawncost` and `strandcost` are study
 //! subcommands (never part of `all`): `obs` prints one unified registry
 //! snapshot of a fanout-broadcast run (with `--assert-bound` it also
 //! recomputes the paper's per-add contention bound, the block-, vertex-
@@ -12,13 +12,10 @@
 //! zero-fresh-strand-frame claims, and the steady-state footprints
 //! including suspended-but-live strand frames, failing if any is
 //! violated); `trace` records the run and writes Chrome Trace Event
-//! Format JSON to `--out` (see `docs/observability.md`); `recycle` A/B's
-//! `pipeline_stages` and `fanout_broadcast` with slab recycling on vs
-//! off and writes a machine-checkable JSON summary next to the results;
-//! `spawncost` A/B's the vertex/continuation fast path (`fib`,
-//! `pipeline_stages`, `fanout_broadcast` with both the vertex class
-//! pools and the out-set block pool flipped together), reporting vertex
-//! alloc/reuse, inline vs boxed bodies and the wake-path counters, to
+//! Format JSON to `--out` (see `docs/observability.md`); `spawncost`
+//! measures the vertex/continuation fast path on warm pools (`fib`,
+//! `pipeline_stages`, `fanout_broadcast`), reporting vertex alloc/reuse,
+//! inline vs boxed bodies and the wake-path counters, to
 //! `results/spawncost.json`; `strandcost` A/B's blocking
 //! (`touch_await`, strands that park) against continuation-passing
 //! (`touch`) awaits on `await_chain` and `pipeline_stages`, reporting
@@ -116,7 +113,6 @@ fn parse_args() -> Opts {
                     "all"
                         | "outset"
                         | "growth"
-                        | "recycle"
                         | "spawncost"
                         | "strandcost"
                         | "obs"
@@ -189,9 +185,6 @@ fn main() {
     }
     if explicit("trace") {
         trace_cmd(&opts);
-    }
-    if explicit("recycle") {
-        recycle_study(&opts);
     }
     if explicit("spawncost") {
         spawncost_study(&opts);
@@ -310,15 +303,13 @@ fn check_strand_bounds(opts: &Opts) -> bool {
                  repaying) retirement"
             ),
         );
-        if sched::recycle::enabled() {
-            let (sa, si) =
-                (steady.counter("sched.strand_alloc"), steady.counter("spdag.strand_inline"));
-            check(
-                "warm-zero-strand-alloc",
-                sa == 0,
-                format!("warm run: {sa} fresh spilled frames ({si} frames inlined alloc-free)"),
-            );
-        }
+        let (sa, si) =
+            (steady.counter("sched.strand_alloc"), steady.counter("spdag.strand_inline"));
+        check(
+            "warm-zero-strand-alloc",
+            sa == 0,
+            format!("warm run: {sa} fresh spilled frames ({si} frames inlined alloc-free)"),
+        );
     }
     let cached = sched::recycle::cached_slabs();
     check(
@@ -522,15 +513,12 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
         // The tentpole claim: with the class pools warm, an identical
         // run mints no fresh vertices at all — the cold run retired far
         // more slabs than the warm run ever holds live at once.
-        if sched::recycle::enabled() {
-            let (va, vr) =
-                (steady.counter("sched.vertex_alloc"), steady.counter("sched.vertex_reuse"));
-            check(
-                "warm-zero-vertex-alloc",
-                va == 0,
-                format!("warm run: {va} fresh vertices (reused {vr})"),
-            );
-        }
+        let (va, vr) = (steady.counter("sched.vertex_alloc"), steady.counter("sched.vertex_reuse"));
+        check(
+            "warm-zero-vertex-alloc",
+            va == 0,
+            format!("warm run: {va} fresh vertices (reused {vr})"),
+        );
     }
     let cached = outset::recycle::cached_blocks();
     check(
@@ -645,107 +633,6 @@ fn trace_cmd(opts: &Opts) {
     }
 }
 
-/// `harness recycle`: the slab-recycling A/B study. Each workload runs
-/// with recycling on and (in a separate configuration, pool drained in
-/// between) off; the table and `results/recycle.json` report wall clock,
-/// the block counters accumulated across warm-up + measured runs, and
-/// the recycler's standby footprint after the configuration quiesced.
-/// The JSON is the machine-checkable artifact CI validates.
-fn recycle_study(opts: &Opts) {
-    let w = opts.measure.max_workers;
-    let n = (opts.measure.n / 4).max(1 << 10);
-    let (stages, width) = (32u64, (n / 64).max(16));
-    let mut rep = open_reporter(&opts.outdir, "recycle");
-    println!("\n## Recycle study — slab recycling A/B, workers={w}");
-    print_row(&[
-        "workload / recycling".to_string(),
-        "wall (s)".to_string(),
-        "fresh allocs".to_string(),
-        "reused".to_string(),
-        "recycled".to_string(),
-        "cached after".to_string(),
-    ]);
-    let cfg = || DynConfig::with_threshold(Algo::default_threshold(w));
-    let mut configs = String::new();
-    type Runner<'a> = (&'a str, Box<dyn Fn() -> Duration + 'a>);
-    let workloads: [Runner<'_>; 2] = [
-        (
-            "pipeline_stages",
-            Box::new(move || {
-                pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width)
-            }),
-        ),
-        (
-            "fanout_broadcast",
-            Box::new(move || fanout_broadcast::<DynSnzi, outset::TreeOutset>(cfg(), w, n)),
-        ),
-    ];
-    for (name, runner) in &workloads {
-        for recycling in [true, false] {
-            let prev = outset::recycle::set_enabled(recycling);
-            let before = obs::Snapshot::take();
-            let elapsed = measure(opts.measure.runs, runner);
-            let d = obs::Snapshot::take().diff(&before);
-            outset::recycle::set_enabled(prev);
-            let cached_blocks = outset::recycle::cached_blocks();
-            let cached_bytes = outset::recycle::cached_bytes();
-            let (allocated, reused, recycled) = (
-                d.counter("outset.blocks_allocated"),
-                d.counter("outset.blocks_reused"),
-                d.counter("outset.blocks_recycled"),
-            );
-            print_row(&[
-                format!("{name} / {}", if recycling { "on" } else { "off" }),
-                format!("{:.6}", elapsed.as_secs_f64()),
-                allocated.to_string(),
-                reused.to_string(),
-                recycled.to_string(),
-                cached_blocks.to_string(),
-            ]);
-            let mut r = Record::new("recycle-study", "outset-tree-adaptive");
-            r.input("workload", name)
-                .input("proc", w)
-                .input("recycling", recycling)
-                .input("n", n)
-                .input("stages", stages)
-                .input("width", width);
-            r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()))
-                .output("blocks_allocated", allocated)
-                .output("blocks_reused", reused)
-                .output("blocks_recycled", recycled)
-                .output("cached_blocks_after", cached_blocks);
-            rep.record(&r);
-            if !configs.is_empty() {
-                configs.push_str(",\n");
-            }
-            configs.push_str(&format!(
-                "    {{\"workload\": \"{name}\", \"recycling\": {recycling}, \
-                 \"wall_s\": {:.6}, \"blocks_allocated\": {allocated}, \
-                 \"blocks_reused\": {reused}, \"blocks_recycled\": {recycled}, \
-                 \"cached_blocks_after\": {cached_blocks}, \
-                 \"cached_bytes_after\": {cached_bytes}}}",
-                elapsed.as_secs_f64()
-            ));
-            // Drain the pool so the next configuration starts cold and
-            // the off-mode numbers are not flattered by a warm cache.
-            outset::recycle::flush_thread_cache();
-            outset::recycle::trim();
-        }
-    }
-    let json = format!(
-        "{{\n  \"workers\": {w},\n  \"runs\": {},\n  \"telemetry\": {},\n  \"configs\": [\n{configs}\n  ]\n}}\n",
-        opts.measure.runs,
-        obs::enabled()
-    );
-    let path = opts.outdir.join("recycle.json");
-    ensure_dir(&opts.outdir);
-    write_text(&path, &json);
-    println!("# wrote {} and {}", rep.path().display(), path.display());
-    if !obs::enabled() {
-        println!("(telemetry compiled out — block counters read zero; wall clock still valid)");
-    }
-}
-
 /// Smallest fib argument whose spawn count (`fib(n+1) - 1`) reaches
 /// `target` — sizes the fib workload from the harness's `--n` scale.
 fn fib_n_for(target: u64) -> u64 {
@@ -757,23 +644,21 @@ fn fib_n_for(target: u64) -> u64 {
     n
 }
 
-/// `harness spawncost`: the spawn-cost A/B study for the zero-allocation
-/// fast path. Each workload runs per recycling mode (the vertex class
-/// pools and the out-set block pool flipped together): one cold run
-/// warms the pools, then the timed warm runs are snapshot-diffed for the
-/// allocation, inline-body and wake-path counters. With recycling on, a
-/// warm run must mint **zero** fresh vertices and the spawn-dominated
-/// workloads must inline ≥90% of their bodies — CI checks exactly that
-/// from `results/spawncost.json`.
+/// `harness spawncost`: the spawn-cost study for the zero-allocation
+/// fast path. Each workload runs cold a few times to warm the pools,
+/// then the timed warm runs are snapshot-diffed for the allocation,
+/// inline-body and wake-path counters. A warm run must mint **zero**
+/// fresh vertices and the spawn-dominated workloads must inline ≥90% of
+/// their bodies — CI checks exactly that from `results/spawncost.json`.
 fn spawncost_study(opts: &Opts) {
     let w = opts.measure.max_workers;
     let n = (opts.measure.n / 4).max(1 << 10);
     let (stages, width) = (32u64, (n / 64).max(16));
     let fib_n = fib_n_for(n / 2);
     let mut rep = open_reporter(&opts.outdir, "spawncost");
-    println!("\n## Spawn-cost study — vertex/continuation recycling A/B, workers={w}");
+    println!("\n## Spawn-cost study — vertex/continuation recycling, workers={w}");
     print_row(&[
-        "workload / recycling".to_string(),
+        "workload".to_string(),
         "wall (s)".to_string(),
         "vertex alloc".to_string(),
         "vertex reuse".to_string(),
@@ -799,76 +684,68 @@ fn spawncost_study(opts: &Opts) {
     ];
     let mut configs = String::new();
     for (name, runner) in &workloads {
-        for recycling in [true, false] {
-            let prev_sched = sched::recycle::set_enabled(recycling);
-            let prev_outset = outset::recycle::set_enabled(recycling);
-            // Cold phase: the pools' content converges to the *high-water
-            // mark* of simultaneously-live slabs, and a single run's peak
-            // is one noisy draw — take a few so the warm runs' peaks sit
-            // below the accumulated maximum and mint nothing fresh.
-            for _ in 0..3 {
-                let _cold = runner();
-            }
-            let before = obs::Snapshot::take();
-            let elapsed = median_duration(&run_repeated(opts.measure.runs, &runner));
-            let d = obs::Snapshot::take().diff(&before);
-            sched::recycle::set_enabled(prev_sched);
-            outset::recycle::set_enabled(prev_outset);
-            let cached_slabs = sched::recycle::cached_slabs();
-            let counters = [
-                ("vertex_alloc", d.counter("sched.vertex_alloc")),
-                ("vertex_reuse", d.counter("sched.vertex_reuse")),
-                ("poolarc_alloc", d.counter("sched.poolarc_alloc")),
-                ("poolarc_reuse", d.counter("sched.poolarc_reuse")),
-                ("body_inline", d.counter("spdag.body_inline")),
-                ("body_boxed", d.counter("spdag.body_boxed")),
-                ("blocks_allocated", d.counter("outset.blocks_allocated")),
-                ("blocks_reused", d.counter("outset.blocks_reused")),
-                ("wakeups", d.counter("sched.wakeups")),
-                ("spurious_wakes", d.counter("sched.spurious_wakes")),
-                ("parks", d.counter("sched.parks")),
-            ];
-            let get = |key: &str| counters.iter().find(|(k, _)| *k == key).unwrap().1;
-            print_row(&[
-                format!("{name} / {}", if recycling { "on" } else { "off" }),
-                format!("{:.6}", elapsed.as_secs_f64()),
-                get("vertex_alloc").to_string(),
-                get("vertex_reuse").to_string(),
-                get("body_inline").to_string(),
-                get("body_boxed").to_string(),
-                get("wakeups").to_string(),
-                get("spurious_wakes").to_string(),
-            ]);
-            let mut r = Record::new("spawncost-study", "dag-vertex-recycling");
-            r.input("workload", name)
-                .input("proc", w)
-                .input("recycling", recycling)
-                .input("n", n)
-                .input("fib_n", fib_n)
-                .input("stages", stages)
-                .input("width", width);
-            r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()));
-            for (key, value) in counters {
-                r.output(key, value);
-            }
-            r.output("cached_slabs_after", cached_slabs);
-            rep.record(&r);
-            if !configs.is_empty() {
-                configs.push_str(",\n");
-            }
-            let kv: String = counters.iter().map(|(k, v)| format!(", \"{k}\": {v}")).collect();
-            configs.push_str(&format!(
-                "    {{\"workload\": \"{name}\", \"recycling\": {recycling}, \
-                 \"wall_s\": {:.6}{kv}, \"cached_slabs_after\": {cached_slabs}}}",
-                elapsed.as_secs_f64()
-            ));
-            // Drain both recyclers so the next configuration starts cold
-            // and the off-mode numbers see no warm cache.
-            sched::recycle::flush_thread_cache();
-            sched::recycle::trim();
-            outset::recycle::flush_thread_cache();
-            outset::recycle::trim();
+        // Cold phase: the pools' content converges to the *high-water
+        // mark* of simultaneously-live slabs, and a single run's peak is
+        // one noisy draw — take a few so the warm runs' peaks sit below
+        // the accumulated maximum and mint nothing fresh.
+        for _ in 0..3 {
+            let _cold = runner();
         }
+        let before = obs::Snapshot::take();
+        let elapsed = median_duration(&run_repeated(opts.measure.runs, &runner));
+        let d = obs::Snapshot::take().diff(&before);
+        let cached_slabs = sched::recycle::cached_slabs();
+        let counters = [
+            ("vertex_alloc", d.counter("sched.vertex_alloc")),
+            ("vertex_reuse", d.counter("sched.vertex_reuse")),
+            ("poolarc_alloc", d.counter("sched.poolarc_alloc")),
+            ("poolarc_reuse", d.counter("sched.poolarc_reuse")),
+            ("body_inline", d.counter("spdag.body_inline")),
+            ("body_boxed", d.counter("spdag.body_boxed")),
+            ("blocks_allocated", d.counter("outset.blocks_allocated")),
+            ("blocks_reused", d.counter("outset.blocks_reused")),
+            ("wakeups", d.counter("sched.wakeups")),
+            ("spurious_wakes", d.counter("sched.spurious_wakes")),
+            ("parks", d.counter("sched.parks")),
+        ];
+        let get = |key: &str| counters.iter().find(|(k, _)| *k == key).unwrap().1;
+        print_row(&[
+            name.to_string(),
+            format!("{:.6}", elapsed.as_secs_f64()),
+            get("vertex_alloc").to_string(),
+            get("vertex_reuse").to_string(),
+            get("body_inline").to_string(),
+            get("body_boxed").to_string(),
+            get("wakeups").to_string(),
+            get("spurious_wakes").to_string(),
+        ]);
+        let mut r = Record::new("spawncost-study", "dag-vertex-recycling");
+        r.input("workload", name)
+            .input("proc", w)
+            .input("n", n)
+            .input("fib_n", fib_n)
+            .input("stages", stages)
+            .input("width", width);
+        r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()));
+        for (key, value) in counters {
+            r.output(key, value);
+        }
+        r.output("cached_slabs_after", cached_slabs);
+        rep.record(&r);
+        if !configs.is_empty() {
+            configs.push_str(",\n");
+        }
+        let kv: String = counters.iter().map(|(k, v)| format!(", \"{k}\": {v}")).collect();
+        configs.push_str(&format!(
+            "    {{\"workload\": \"{name}\", \"wall_s\": {:.6}{kv}, \
+             \"cached_slabs_after\": {cached_slabs}}}",
+            elapsed.as_secs_f64()
+        ));
+        // Drain both recyclers so the next workload starts cold.
+        sched::recycle::flush_thread_cache();
+        sched::recycle::trim();
+        outset::recycle::flush_thread_cache();
+        outset::recycle::trim();
     }
     let json = format!(
         "{{\n  \"workers\": {w},\n  \"runs\": {},\n  \"telemetry\": {},\n  \"fib_n\": {fib_n},\n  \"configs\": [\n{configs}\n  ]\n}}\n",
@@ -891,9 +768,8 @@ fn spawncost_study(opts: &Opts) {
 /// warming the pools, then the timed warm runs snapshot-diffed for the
 /// suspension and strand-frame counters. The CPS rows read zero
 /// suspends by construction; the blocking rows must show
-/// `strand_suspend == strand_resume` and (with recycling on) zero fresh
-/// spilled frames — CI checks exactly that from
-/// `results/strandcost.json`.
+/// `strand_suspend == strand_resume` and zero fresh spilled frames — CI
+/// checks exactly that from `results/strandcost.json`.
 fn strandcost_study(opts: &Opts) {
     let w = opts.measure.max_workers;
     let n = (opts.measure.n / 4).max(1 << 10);

@@ -30,18 +30,15 @@ pub enum EventKind {
     /// span covering the out-set sweep + ready pushes; arg = dependents
     /// resolved.
     FutureFulfill = 10,
-    /// A swept slot block was poisoned and pushed into the recycler
-    /// (`outset`); arg = blocks cached after the push.
-    BlockRecycle = 11,
     /// A strand parked itself on an unready future (`spdag`): its vertex
     /// left the executor un-retired, awaiting the fulfill handshake; arg
     /// = vertex id.
-    StrandPark = 12,
+    StrandPark = 11,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 12] = [
+    pub const ALL: [EventKind; 11] = [
         EventKind::Spawn,
         EventKind::Chain,
         EventKind::Steal,
@@ -52,7 +49,6 @@ impl EventKind {
         EventKind::FutureCreate,
         EventKind::FutureTouch,
         EventKind::FutureFulfill,
-        EventKind::BlockRecycle,
         EventKind::StrandPark,
     ];
 
@@ -69,7 +65,6 @@ impl EventKind {
             EventKind::FutureCreate => "future_create",
             EventKind::FutureTouch => "future_touch",
             EventKind::FutureFulfill => "future_fulfill",
-            EventKind::BlockRecycle => "block_recycle",
             EventKind::StrandPark => "strand_park",
         }
     }
@@ -79,9 +74,7 @@ impl EventKind {
         match self {
             EventKind::Spawn | EventKind::Chain | EventKind::StrandPark => "spdag",
             EventKind::Steal | EventKind::Park => "sched",
-            EventKind::LaneSplit | EventKind::Seal | EventKind::Sweep | EventKind::BlockRecycle => {
-                "outset"
-            }
+            EventKind::LaneSplit | EventKind::Seal | EventKind::Sweep => "outset",
             EventKind::FutureCreate | EventKind::FutureTouch | EventKind::FutureFulfill => "future",
         }
     }

@@ -41,7 +41,7 @@
 //!
 //! Swept slot blocks are **recycled**: `finish` retires each block
 //! through the out-set's epoch domain into per-worker slab caches (the
-//! [`recycle`] module holds the switch and the probes), so steady-state
+//! [`recycle`] module holds the probes), so steady-state
 //! future churn reaches zero allocator traffic.
 //!
 //! ```

@@ -1,11 +1,11 @@
-//! The block recycler's switch and probes.
+//! The block recycler's probes.
 //!
 //! The mechanism itself lives in [`crate::tree`] (retirement through the
 //! out-set's epoch domain) and `sched::slab` (per-worker caches over a
 //! global free list); this module is the small public surface around it:
-//! a process-wide enable switch — captured by each out-set at
-//! construction, so one object never changes mode mid-life — and the
-//! gauges the bench harness and the reclamation tests read.
+//! the gauges the bench harness and the reclamation tests read, and the
+//! flush/trim valves. Every growable out-set recycles; frozen ones (no
+//! epoch domain) free their blocks in `Drop`.
 //!
 //! ## Accounting
 //!
@@ -24,31 +24,16 @@
 //! ```
 //!
 //! Mid-run, the difference of the two sides of the first identity is
-//! exactly the number of live blocks. `harness obs --assert-bound`
-//! checks both identities after a quiesced run.
+//! exactly the number of live blocks. The second holds once no thread
+//! but the caller holds a cache (workers flush at teardown), since
+//! [`cached_blocks`] counts the global list plus the caller's cache.
+//! `harness obs --assert-bound` checks both identities after a quiesced
+//! run.
 
 use crate::tree;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether out-sets created *now* will recycle their blocks (process
-/// default: `true`). Each out-set captures this at construction.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
-/// Flip the process-wide recycling default, returning the previous
-/// value. Affects only out-sets created afterwards — existing objects
-/// keep the mode they were born with — which is what lets the bench
-/// harness run with/without studies in one process.
-pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::SeqCst)
-}
-
-/// Blocks currently held by the recycler (global free list plus every
-/// worker cache). Racy snapshot.
+/// Blocks held by the recycler: the global free list plus the calling
+/// thread's cache (exact at quiescence; see `sched::SlabPool::cached_slabs`).
 pub fn cached_blocks() -> usize {
     tree::block_pool().cached_slabs()
 }

@@ -82,7 +82,7 @@
 //!
 //! ## Memory and block recycling
 //!
-//! A recycling out-set's `finish` takes each lane's whole block chain
+//! A growable out-set's `finish` takes each lane's whole block chain
 //! (one `swap` of the lane head), sweeps it, and **retires** every block
 //! through the out-set's private epoch domain: once every guard pinned
 //! at retirement has dropped, the block is poisoned (`POISON` written
@@ -102,12 +102,11 @@
 //! from a lane head cannot be recycled — let alone reused and
 //! re-installed at the same lane index, where the adder's stale
 //! `compare_exchange` on the head would otherwise cross-link two
-//! out-sets — until the adder unpins. Frozen out-sets (no domain, no
-//! pins) never recycle; the process-wide default is captured per object
-//! at construction (see [`crate::recycle`]).
+//! out-sets — until the adder unpins. Every growable out-set recycles;
+//! frozen out-sets (no domain, no pins) never do.
 //!
-//! Whatever is still linked at `Drop` — everything for non-recycling
-//! sets, only post-seal straggler blocks for recycling ones — is freed
+//! Whatever is still linked at `Drop` — everything for frozen sets, only
+//! post-seal straggler blocks for growable ones — is freed
 //! through the newest table (which, by monotonicity, points to every
 //! lane ever allocated); superseded tables are freed by the epoch shim
 //! at quiescent instants. The out-set is expected to be shared via `Arc`
@@ -195,13 +194,10 @@ impl Block {
             (*block).next = std::ptr::null_mut();
         }
         obs::counter!("outset.blocks_recycled").inc();
-        let pool = block_pool();
-        let spilled = pool.release(block as *mut u8);
+        let spilled = block_pool().release(block as *mut u8);
         if spilled > 0 {
             obs::counter!("outset.blocks_overflowed").add(spilled as u64);
         }
-        obs::histogram!("outset.steady_footprint_bytes").record(pool.cached_bytes() as u64);
-        obs::trace::record(obs::EventKind::BlockRecycle, pool.cached_slabs() as u64);
     }
 
     /// Re-initialize a block just taken from the recycler: verify the
@@ -306,7 +302,9 @@ pub struct TreeOutsetObj {
     /// under the cap), fixed at construction. When `false` the table
     /// pointer is immutable for the object's whole life, so the add path
     /// skips the epoch pin entirely — fixed-lane baselines and tables
-    /// born at their cap pay nothing for the growth machinery.
+    /// born at their cap pay nothing for the growth machinery. Also
+    /// whether swept blocks go to the recycler: retirement rides the
+    /// private domain, which only growable out-sets own.
     growable: bool,
     /// Monotone mirror of the table size, so probes (and the growth cap
     /// check) need no epoch pin.
@@ -316,11 +314,6 @@ pub struct TreeOutsetObj {
     /// Lost block-install CASes (diagnostic — the contention signal that
     /// feeds the growth coin; see [`install_races`](Self::install_races)).
     race_count: AtomicUsize,
-    /// Whether swept blocks go to the recycler (requires `growable` — the
-    /// retirement rides the private domain — and the process switch at
-    /// construction time; see [`crate::recycle`]). Fixed for the
-    /// object's life so the sweep and the allocator never disagree.
-    recycle: bool,
     /// Blocks this object has handed to the recycler (scheduled
     /// retirements; deterministic once `finish` returns — the actual
     /// cache push runs at the domain's next quiescent instant).
@@ -378,7 +371,6 @@ impl TreeOutsetObj {
             lanes_approx: AtomicUsize::new(initial),
             split_count: AtomicUsize::new(0),
             race_count: AtomicUsize::new(0),
-            recycle: growable && crate::recycle::enabled(),
             retired_count: AtomicUsize::new(0),
             domain: growable.then(|| Box::new(epoch::Domain::with_stripes(OUTSET_PIN_STRIPES))),
         }
@@ -476,10 +468,10 @@ impl TreeOutsetObj {
                     .is_err();
             if lost {
                 // Lost the install race; the never-published block goes
-                // straight back — to the recycler when recycling (keeping
+                // straight back — to the recycler when growable (keeping
                 // the birth/death accounting balanced), else the
                 // allocator — and we retry on the winner.
-                if self.recycle {
+                if self.growable {
                     // SAFETY: never published, exclusively ours.
                     unsafe { Block::retire(fresh) };
                     self.retired_count.fetch_add(1, Ordering::Relaxed);
@@ -502,10 +494,10 @@ impl TreeOutsetObj {
     }
 
     /// One block headed for `key`'s lane: from the recycler when this
-    /// out-set recycles and a cached block is available, else a fresh
-    /// allocation.
+    /// out-set recycles (it is growable) and a cached block is available,
+    /// else a fresh allocation.
     fn alloc_block(&self, next: *mut Block) -> *mut Block {
-        if self.recycle {
+        if self.growable {
             if let Some(raw) = block_pool().acquire() {
                 let block = raw as *mut Block;
                 // SAFETY: `acquire` hands over exclusive ownership.
@@ -612,7 +604,7 @@ impl TreeOutsetObj {
             // published after the seal, so it observes `sealed` on its
             // re-check and delivers inline — its straggler block stays
             // linked and is freed in `Drop`.
-            let taken = if self.recycle {
+            let taken = if self.growable {
                 lane.head.swap(std::ptr::null_mut(), Ordering::SeqCst)
             } else {
                 lane.head.load(Ordering::SeqCst)
@@ -634,7 +626,7 @@ impl TreeOutsetObj {
                     // yet; its publish CAS will fail and deliver inline.
                 }
                 let next = block.next;
-                if self.recycle {
+                if self.growable {
                     let ptr = head;
                     let g = guard.as_ref().expect("recycling implies growable implies a domain");
                     // SAFETY: `ptr` is unlinked (the swap above), so no
@@ -741,12 +733,6 @@ impl TreeOutsetObj {
     /// once per growable out-set (0 for frozen ones, which never pin).
     pub fn domain_footprint_bytes(&self) -> usize {
         self.domain.as_deref().map_or(0, epoch::Domain::footprint_bytes)
-    }
-
-    /// Whether this out-set recycles its swept blocks — growable, and
-    /// [`crate::recycle::enabled`] was true at construction.
-    pub fn recycles_blocks(&self) -> bool {
-        self.recycle
     }
 
     /// Blocks this object has scheduled for the recycler so far (the
@@ -1045,22 +1031,24 @@ mod tests {
     }
 
     #[test]
-    fn recycling_mode_tracks_growability_and_switch() {
+    fn only_growable_sets_recycle() {
         // Frozen out-sets must never recycle (retirement needs the
-        // domain); growable ones follow the process switch at
-        // construction time.
-        assert!(!TreeOutsetObj::with_lanes(4).recycles_blocks());
-        assert!(!TreeOutsetObj::with_policy(8, GrowthPolicy::eager(8)).recycles_blocks());
-        let growable = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
-        assert_eq!(growable.recycles_blocks(), crate::recycle::enabled());
+        // domain): their swept chains stay linked until `Drop`.
+        for frozen in
+            [TreeOutsetObj::with_lanes(4), TreeOutsetObj::with_policy(8, GrowthPolicy::eager(8))]
+        {
+            for t in 0..(BLOCK_SLOTS as u64 + 1) {
+                let _ = frozen.add(t, 0);
+            }
+            assert!(frozen.finish(&mut |_| {}));
+            assert_eq!(frozen.blocks_retired(), 0);
+            assert!(frozen.block_count() >= 2);
+        }
     }
 
     #[test]
     fn finish_retires_the_swept_chain() {
         let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
-        if !set.recycles_blocks() {
-            return; // another test (or harness mode) disabled recycling
-        }
         let n = 2 * BLOCK_SLOTS as u64 + 1;
         for t in 0..n {
             assert_eq!(set.add(t, 0), AddEdge::Registered);
@@ -1110,12 +1098,10 @@ mod tests {
         }
         assert!(set.footprint_bytes() > before_adds);
         set.finish(&mut |_| {});
-        if set.recycles_blocks() {
-            assert_eq!(
-                set.footprint_bytes(),
-                before_adds,
-                "a finished recycling out-set holds no blocks"
-            );
-        }
+        assert_eq!(
+            set.footprint_bytes(),
+            before_adds,
+            "a finished growable out-set holds no blocks"
+        );
     }
 }

@@ -31,12 +31,11 @@ fn isolated() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// A growable, recycling out-set filled with exactly `blocks` blocks on
-/// one lane, finished (scheduling the chain's retirement) and drained
-/// (pushing the blocks into this thread's cache).
+/// A growable (hence recycling) out-set filled with exactly `blocks`
+/// blocks on one lane, finished (scheduling the chain's retirement) and
+/// drained (pushing the blocks into this thread's cache).
 fn churn_one(blocks: u64, token_base: u64) -> Vec<u64> {
     let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(2));
-    assert!(set.recycles_blocks(), "accounting tests require recycling enabled");
     let n = blocks * BLOCK_SLOTS;
     for t in 0..n {
         let _ = set.add(token_base + t, 0);
@@ -99,17 +98,10 @@ fn worker_cache_overflows_to_the_global_pool() {
 }
 
 #[test]
-fn disabled_recycling_keeps_the_drop_path() {
+fn fixed_lane_sets_keep_the_drop_path() {
     let _guard = isolated();
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            recycle::set_enabled(self.0);
-        }
-    }
-    let _restore = Restore(recycle::set_enabled(false));
-    let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(2));
-    assert!(!set.recycles_blocks(), "the switch must gate construction");
+    // A fixed-lane out-set is frozen: no epoch domain, so no retirement.
+    let set = TreeOutsetObj::with_lanes(1);
     for t in 0..(2 * BLOCK_SLOTS) {
         let _ = set.add(t, 0);
     }
@@ -117,7 +109,7 @@ fn disabled_recycling_keeps_the_drop_path() {
     assert!(set.finish(&mut |_| n += 1));
     assert_eq!(n, 2 * BLOCK_SLOTS);
     assert_eq!(set.blocks_retired(), 0);
-    assert_eq!(set.block_count(), 2, "without recycling the chain stays until Drop");
+    assert_eq!(set.block_count(), 2, "a frozen set's chain stays until Drop");
     drop(set);
     assert_eq!(recycle::cached_blocks(), 0, "dropped blocks go to the allocator, not the pool");
 }

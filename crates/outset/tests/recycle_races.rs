@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use outset::tree::TreeOutsetObj;
-use outset::{recycle, AddEdge, GrowthPolicy};
+use outset::{AddEdge, GrowthPolicy};
 use proptest::prelude::*;
 use snzi::Probability;
 
@@ -160,9 +160,6 @@ fn aba_recycled_block_reinstalled_at_same_lane() {
         // sneaks in.
         let policy = GrowthPolicy::new(Probability::one_over(1 << 20), 2);
         let set = Arc::new(TreeOutsetObj::with_policy(1, policy));
-        if !set.recycles_blocks() {
-            return; // recycling disabled process-wide: nothing to test
-        }
         let barrier = Barrier::new(THREADS + 1);
         let inline = Mutex::new(Vec::new());
         let swept = std::thread::scope(|scope| {
@@ -213,9 +210,6 @@ fn aba_recycled_block_reinstalled_at_same_lane() {
 fn cross_generation_sweep_is_deterministic_with_reused_blocks() {
     // Warm the recycler with one full out-set's worth of blocks.
     let warm = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
-    if !warm.recycles_blocks() {
-        return;
-    }
     for t in 0..(8 * BLOCK_SLOTS) {
         let _ = warm.add(t, t);
     }
@@ -259,9 +253,6 @@ fn no_stale_tokens_across_reuse_under_contention() {
     const ROUNDS: usize = if cfg!(debug_assertions) { 40 } else { 120 };
     const THREADS: usize = 4;
     const ADDS: u64 = 96;
-    if !recycle::enabled() {
-        return;
-    }
     for round in 0..ROUNDS as u64 {
         drive_pentagon(
             THREADS,

@@ -6,16 +6,13 @@
 //! vertex (the `DecPair` / `FutureCore` headers). `PoolArc` keeps the
 //! exact `Arc` semantics the dag layer relies on — `clone` is a relaxed
 //! increment, the last `drop` runs the value's drop glue exactly once
-//! with release/acquire publication — but births the header from a class
-//! slab when recycling is on and retires it back there, so warm-run
-//! churn stops touching the allocator.
-//!
-//! Provenance is recorded in the header (`class`, or
-//! [`crate::recycle::UNPOOLED`] when the switch was off at birth or the
-//! layout is off the ladder), so flipping the recycle switch mid-run is
-//! sound. Births and deaths are counted in the `sched.poolarc_*`
-//! counters and obey the usual conservation identity at quiescence:
-//! `alloc + reuse == recycled + dropped`.
+//! with release/acquire publication — but births the header from the
+//! class slab of its type and retires it back there, so warm-run churn
+//! stops touching the allocator. Headers too big for the class ladder use
+//! the plain allocator; the route is a function of `T` alone, so the
+//! header records nothing about it. Births and deaths are counted in the
+//! `sched.poolarc_*` counters and obey the usual conservation identity at
+//! quiescence: `alloc + reuse == recycled + dropped`.
 
 use std::marker::PhantomData;
 use std::ops::Deref;
@@ -27,9 +24,6 @@ use crate::recycle;
 #[repr(C)]
 struct Inner<T> {
     strong: AtomicUsize,
-    /// Size class this header was born from ([`recycle::UNPOOLED`] when
-    /// plainly allocated). Immutable after construction.
-    class: u8,
     value: T,
 }
 
@@ -53,38 +47,21 @@ unsafe impl<T: Send + Sync> Send for PoolArc<T> {}
 unsafe impl<T: Send + Sync> Sync for PoolArc<T> {}
 
 impl<T> PoolArc<T> {
-    /// Allocate a new shared `T`. Serves the header from the matching
-    /// size-class pool when [`recycle::enabled`] and the layout fits the
-    /// ladder; otherwise falls back to the plain allocator.
+    /// Allocate a new shared `T`, serving the header from its size-class
+    /// pool (or the plain allocator when off the ladder).
     pub fn new(value: T) -> Self {
-        let class = if recycle::enabled() { recycle::class_of::<Inner<T>>() } else { None };
-        let ptr = match class {
-            Some(class) => {
-                let (raw, reused) = recycle::acquire_or_alloc(class);
-                if reused {
-                    obs::counter!("sched.poolarc_reuse").inc();
-                } else {
-                    obs::counter!("sched.poolarc_alloc").inc();
-                }
-                let inner = raw as *mut Inner<T>;
-                // SAFETY: the slab is class-sized >= size_of::<Inner<T>>,
-                // CLASS_ALIGN-aligned >= align_of, and exclusively ours.
-                unsafe {
-                    inner.write(Inner { strong: AtomicUsize::new(1), class, value });
-                }
-                inner
-            }
-            None => {
-                obs::counter!("sched.poolarc_alloc").inc();
-                Box::into_raw(Box::new(Inner {
-                    strong: AtomicUsize::new(1),
-                    class: recycle::UNPOOLED,
-                    value,
-                }))
-            }
-        };
-        // SAFETY: both arms produce a valid, non-null allocation.
-        Self { ptr: unsafe { NonNull::new_unchecked(ptr) }, _marker: PhantomData }
+        let (inner, reused) = recycle::alloc_for::<Inner<T>>();
+        if reused {
+            obs::counter!("sched.poolarc_reuse").inc();
+        } else {
+            obs::counter!("sched.poolarc_alloc").inc();
+        }
+        // SAFETY: `alloc_for` hands over exclusive, suitably sized and
+        // aligned, non-null storage for one `Inner<T>`.
+        unsafe {
+            inner.write(Inner { strong: AtomicUsize::new(1), value });
+            Self { ptr: NonNull::new_unchecked(inner), _marker: PhantomData }
+        }
     }
 
     fn inner(&self) -> &Inner<T> {
@@ -131,17 +108,15 @@ impl<T> Drop for PoolArc<T> {
         fence(Ordering::Acquire);
         let raw = self.ptr.as_ptr();
         // SAFETY: we hold the last reference; nobody else can reach the
-        // allocation.
-        unsafe {
-            let class = (*raw).class;
-            if class == recycle::UNPOOLED {
-                obs::counter!("sched.poolarc_dropped").inc();
-                drop(Box::from_raw(raw));
-            } else {
-                std::ptr::drop_in_place(raw);
-                obs::counter!("sched.poolarc_recycled").inc();
-                recycle::release(class, raw as *mut u8);
-            }
+        // allocation, which came from `alloc_for::<Inner<T>>`.
+        let recycled = unsafe {
+            std::ptr::drop_in_place(raw);
+            recycle::free_for(raw)
+        };
+        if recycled {
+            obs::counter!("sched.poolarc_recycled").inc();
+        } else {
+            obs::counter!("sched.poolarc_dropped").inc();
         }
     }
 }
@@ -179,7 +154,6 @@ mod tests {
 
     #[test]
     fn header_is_recycled_through_class_pool() {
-        let was = recycle::set_enabled(true);
         let first = PoolArc::new(7u64);
         let addr = first.ptr.as_ptr() as usize;
         drop(first);
@@ -188,16 +162,6 @@ mod tests {
         let second = PoolArc::new(9u64);
         assert_eq!(second.ptr.as_ptr() as usize, addr);
         drop(second);
-        recycle::set_enabled(was);
-    }
-
-    #[test]
-    fn disabled_switch_falls_back_to_plain_alloc() {
-        let was = recycle::set_enabled(false);
-        let a = PoolArc::new(3u32);
-        assert_eq!(a.inner().class, recycle::UNPOOLED);
-        drop(a);
-        recycle::set_enabled(was);
     }
 
     #[test]

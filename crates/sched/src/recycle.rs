@@ -1,6 +1,6 @@
 //! Size-classed slab recycling for the runtime's small hot-path objects.
 //!
-//! The out-set recycler (PR 4) proved the recipe on one fixed block type;
+//! The out-set recycler proved the recipe on one fixed block type;
 //! this module generalizes it to the *vertices and continuations*
 //! themselves, which cannot share one typed pool: `Vertex<C>` is a
 //! different type — and size — per counter family, and Rust has no
@@ -11,13 +11,15 @@
 //! headers ([`crate::PoolArc`]), and anything a later layer wants to
 //! recycle.
 //!
-//! ## Discipline (inherited from the out-set recycler)
+//! ## Discipline
 //!
-//! * **Process switch, captured at birth.** [`enabled`] is read when an
-//!   object is allocated; the object records which class (if any) it was
-//!   born from and is retired by that *provenance*, never by the switch's
-//!   current value — flipping the switch mid-run is always sound, and the
-//!   conservation identities below stay exact.
+//! * **Class by type.** A type's class is a compile-time function of its
+//!   layout ([`class_of`]), so an object never records where it was
+//!   born: [`alloc_for`] and [`free_for`] route the same `T` to the same
+//!   place every time. Slabs are allocated with the class layout (class
+//!   bytes, [`CLASS_ALIGN`]), not the object's, so a slab retired by a
+//!   `Vertex<DynSnzi>` can be reborn as a pooled `DecPair` header. Types
+//!   whose size or alignment exceed the ladder use the plain allocator.
 //! * **Poison stamps.** In debug builds every slab released to a class
 //!   pool is stamped with [`POISON`] words; acquire asserts the stamp.
 //!   A consumer reading recycled memory before re-initializing it trips
@@ -25,17 +27,13 @@
 //!   odd/even *generation* stamp of the out-set recycler guards
 //!   re-publication races of shared blocks; class slabs are never shared
 //!   while dead, so poison alone closes their surface.)
-//! * **Layout by class.** Slabs are allocated with the class layout
-//!   (class bytes, [`CLASS_ALIGN`]), not the object's, so a slab retired
-//!   by a `Vertex<DynSnzi>` can be reborn as a pooled `DecPair` header.
-//!   Objects whose size or alignment exceed the ladder fall back to the
-//!   plain allocator (class [`UNPOOLED`]).
 //!
 //! ## Accounting
 //!
 //! Consumers count births and deaths (`sched.vertex_*`,
-//! `sched.poolarc_*`); this module only owns the standby gauges. At
-//! quiescence, per consumer:
+//! `sched.poolarc_*`, `sched.strand_*`): `reuse` and `recycled` for the
+//! ladder, `alloc` for fresh slabs and off-ladder allocations, `dropped`
+//! for off-ladder frees. At quiescence, per consumer:
 //!
 //! ```text
 //! allocated + reused == recycled + dropped      (live = 0)
@@ -48,21 +46,16 @@
 //! valve that hands the standby memory back to the allocator.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::mem::MaybeUninit;
 
 use crate::slab::SlabPool;
-
-/// Class byte recorded by objects that were *not* served by a class pool
-/// (too big, over-aligned, or recycling disabled at birth). Retirement
-/// for these goes straight back to the allocator.
-pub const UNPOOLED: u8 = u8::MAX;
 
 /// Alignment every class slab provides (and the most a pooled object may
 /// require).
 pub const CLASS_ALIGN: usize = 16;
 
-/// The size ladder. Powers of two keep `class_for` a couple of
-/// instructions and internal fragmentation under 2×.
+/// The size ladder. Powers of two keep [`class_of`] a constant and
+/// internal fragmentation under 2×.
 const CLASS_BYTES: [usize; 6] = [32, 64, 128, 256, 512, 1024];
 
 /// Per-thread cache bound per class (slabs); overflow spills half to the
@@ -82,68 +75,85 @@ static POOLS: [SlabPool; 6] = [
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 
 /// Capture-size ceiling (bytes) for closures and strand state stored
-/// **inline** inside a pooled vertex instead of behind a pointer. This is
-/// the knob PR 5 hard-coded at 24 B; it lives here because it is really a
-/// property of the class ladder — it decides which ladder class a vertex
-/// lands in, not anything about dag semantics. 48 B keeps a suspended
-/// strand frame with up to 40 B of saved state (a few handles plus loop
-/// indices) inline — suspension then touches no memory outside the
-/// vertex's own slab — while still fitting `Vertex<DynSnzi>` comfortably
-/// inside the 256 B class.
+/// **inline** inside a pooled vertex instead of behind a pointer. It
+/// lives here because it is really a property of the class ladder — it
+/// decides which ladder class a vertex lands in, not anything about dag
+/// semantics. 48 B keeps a suspended strand frame with up to 40 B of
+/// saved state (a few handles plus loop indices) inline — suspension
+/// then touches no memory outside the vertex's own slab — while still
+/// fitting `Vertex<DynSnzi>` comfortably inside the 256 B class.
 pub const INLINE_SLOT_BYTES: usize = 48;
 
 /// Alignment ceiling for inline slot storage (the in-vertex buffer is
 /// 8-aligned).
 pub const INLINE_SLOT_ALIGN: usize = 8;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether objects allocated *now* will come from (and retire into) the
-/// class pools (process default: `true`). Captured per allocation; see
-/// the module docs for the provenance discipline.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
-/// Flip the process-wide recycling default, returning the previous
-/// value. Affects only objects allocated afterwards — existing objects
-/// retire by the provenance they were born with.
-pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::SeqCst)
-}
-
 /// The class that serves a `size`/`align` layout, or `None` when the
 /// layout is off the ladder and the caller must use the plain allocator.
-pub fn class_for(size: usize, align: usize) -> Option<u8> {
+const fn class_for(size: usize, align: usize) -> Option<u8> {
     if align > CLASS_ALIGN {
         return None;
     }
-    CLASS_BYTES.iter().position(|&b| b >= size).map(|i| i as u8)
+    let mut i = 0;
+    while i < CLASS_BYTES.len() {
+        if CLASS_BYTES[i] >= size {
+            return Some(i as u8);
+        }
+        i += 1;
+    }
+    None
 }
 
-/// [`class_for`] of a concrete type.
-pub fn class_of<T>() -> Option<u8> {
+/// The class that serves `T`, or `None` when `T` is off the ladder.
+/// Const, so every allocation site resolves its route at compile time.
+pub const fn class_of<T>() -> Option<u8> {
     class_for(std::mem::size_of::<T>(), std::mem::align_of::<T>())
 }
 
-/// Slab size of `class` in bytes.
-pub fn class_bytes(class: u8) -> usize {
-    CLASS_BYTES[class as usize]
+fn class_layout(class: u8) -> Layout {
+    // Every ladder entry is a power of two >= 32, hence a multiple of
+    // CLASS_ALIGN: this never fails.
+    Layout::from_size_align(CLASS_BYTES[class as usize], CLASS_ALIGN).expect("valid class layout")
 }
 
-fn class_layout(class: u8) -> Layout {
-    // Every ladder size is a multiple of CLASS_ALIGN except none — all
-    // entries are >= 32 and powers of two, so this never fails.
-    Layout::from_size_align(class_bytes(class), CLASS_ALIGN).expect("valid class layout")
+/// Uninitialized storage for one `T`: a slab of `T`'s class — recycled
+/// when the class pool has one — or, for a type off the ladder, a plain
+/// allocation. Returns the memory and whether it was reused. The caller
+/// owns it and must eventually hand it to [`free_for`] with the same `T`.
+pub fn alloc_for<T>() -> (*mut T, bool) {
+    match const { class_of::<T>() } {
+        Some(class) => {
+            let (raw, reused) = acquire_or_alloc(class);
+            (raw as *mut T, reused)
+        }
+        None => (Box::into_raw(Box::<T>::new_uninit()) as *mut T, false),
+    }
+}
+
+/// Give back the storage of one dead `T` (its drop glue already ran): to
+/// its class pool, or to the allocator when `T` is off the ladder.
+/// Returns whether the slab was recycled.
+///
+/// # Safety
+/// `ptr` must come from [`alloc_for::<T>`](alloc_for), hold no live
+/// value, and not be used afterwards.
+pub unsafe fn free_for<T>(ptr: *mut T) -> bool {
+    match const { class_of::<T>() } {
+        Some(class) => {
+            release(class, ptr as *mut u8);
+            true
+        }
+        None => {
+            // SAFETY: off-ladder storage came from `Box::new_uninit`.
+            drop(unsafe { Box::from_raw(ptr as *mut MaybeUninit<T>) });
+            false
+        }
+    }
 }
 
 /// Take one recycled slab of `class`, or allocate a fresh one with the
-/// class layout. Returns the slab and whether it was served by the pool
-/// (`true` = reused). The caller owns the (uninitialized) memory and
-/// must eventually [`release`] or [`dealloc_slab`] it with the same
-/// class.
-pub fn acquire_or_alloc(class: u8) -> (*mut u8, bool) {
-    debug_assert_ne!(class, UNPOOLED);
+/// class layout. Returns the slab and whether it was served by the pool.
+fn acquire_or_alloc(class: u8) -> (*mut u8, bool) {
     // Failpoint (no-op unless `fault-inject` arms it): pretend the class
     // pool is empty, forcing the fresh-allocation path. Conservation
     // (`allocated + reused == recycled + dropped`) is unaffected — the
@@ -173,11 +183,9 @@ pub fn acquire_or_alloc(class: u8) -> (*mut u8, bool) {
     (ptr, false)
 }
 
-/// Hand one dead slab of `class` back to the recycler. The memory must
-/// contain no live object (drop glue already ran); the pool stamps it
-/// with [`POISON`] in debug builds.
-pub fn release(class: u8, ptr: *mut u8) {
-    debug_assert_ne!(class, UNPOOLED);
+/// Hand one dead slab of `class` back to the recycler, stamped with
+/// [`POISON`] in debug builds.
+fn release(class: u8, ptr: *mut u8) {
     #[cfg(debug_assertions)]
     // SAFETY: the slab is dead, at least 32 bytes, exclusively ours.
     unsafe {
@@ -187,34 +195,16 @@ pub fn release(class: u8, ptr: *mut u8) {
     POOLS[class as usize].release(ptr);
 }
 
-/// Free one slab of `class` straight back to the allocator (the
-/// retirement path for a dead object when its slab should *not* be
-/// recycled — currently only used by tests; [`trim`] covers the pools).
-///
-/// # Safety
-/// `ptr` must have been obtained from [`acquire_or_alloc`] with the same
-/// `class` and must not be referenced afterwards.
-pub unsafe fn dealloc_slab(class: u8, ptr: *mut u8) {
-    // SAFETY: same layout as the allocation per the caller contract.
-    unsafe { dealloc(ptr, class_layout(class)) };
-}
-
-/// Slabs currently held across all class pools (shared lists plus every
-/// thread cache). Racy snapshot.
+/// Slabs held across all class pools: the shared lists plus the calling
+/// thread's caches (see [`SlabPool::cached_slabs`]).
 pub fn cached_slabs() -> usize {
     POOLS.iter().map(|p| p.cached_slabs()).sum()
 }
 
-/// Bytes currently held across all class pools — the standby footprint,
-/// bounded by peak-live pooled objects.
+/// Bytes held across all class pools — the standby footprint, bounded by
+/// peak-live pooled objects.
 pub fn cached_bytes() -> usize {
     POOLS.iter().map(|p| p.cached_bytes()).sum()
-}
-
-/// Slabs ever spilled from a full thread cache to a shared list, summed
-/// over classes.
-pub fn overflowed() -> u64 {
-    POOLS.iter().map(|p| p.overflowed()).sum()
 }
 
 /// Move the current thread's class caches onto the shared lists so other
@@ -255,43 +245,44 @@ mod tests {
         assert_eq!(class_for(1024, 16), Some(5));
         assert_eq!(class_for(1025, 8), None, "off the ladder");
         assert_eq!(class_for(64, 32), None, "over-aligned");
-        assert_eq!(class_bytes(2), 128);
+        assert_eq!(class_of::<[u64; 6]>(), Some(1));
+        assert_eq!(class_of::<[u8; 2048]>(), None);
     }
 
     #[test]
-    fn acquire_release_round_trip_reuses() {
-        let cl = class_of::<[u64; 6]>().expect("48 bytes fits class 64");
-        assert_eq!(class_bytes(cl), 64);
-        let (a, reused) = acquire_or_alloc(cl);
-        // The pool may be warm from sibling tests; only the round trip
-        // itself is asserted deterministically.
-        let _ = reused;
-        release(cl, a);
-        let before = cached_slabs();
-        assert!(before >= 1);
-        let (b, reused) = acquire_or_alloc(cl);
+    fn alloc_free_round_trip_reuses() {
+        // 48 bytes: class 64. Same thread, same class: the thread cache
+        // serves the very slab just released.
+        let (a, _) = alloc_for::<[u64; 6]>();
+        // SAFETY: fresh storage, no live value.
+        assert!(unsafe { free_for(a) }, "on-ladder storage goes back to its class");
+        assert!(cached_slabs() >= 1);
+        let (b, reused) = alloc_for::<[u64; 6]>();
         assert!(reused, "released slab must be served back");
         assert_eq!(b, a);
-        // Leave nothing behind.
-        unsafe { dealloc_slab(cl, b) };
+        // SAFETY: as above.
+        unsafe { free_for(b) };
     }
 
     #[test]
-    fn switch_round_trips() {
-        let prev = set_enabled(false);
-        assert!(!enabled());
-        set_enabled(prev);
-        assert_eq!(enabled(), prev);
+    fn off_ladder_types_use_the_allocator() {
+        let (a, reused) = alloc_for::<[u8; 2048]>();
+        assert!(!reused);
+        // SAFETY: exclusively ours, written before being read.
+        unsafe {
+            a.write([7; 2048]);
+            assert_eq!((*a)[2047], 7);
+            assert!(!free_for(a), "off-ladder storage goes back to the allocator");
+        }
     }
 
     #[test]
     fn trim_frees_flushed_slabs() {
         // Class 1024 is untouched by sibling tests, so the flushed slab
         // deterministically survives on the shared list until trim.
-        let cl = class_for(1000, 16).unwrap();
-        assert_eq!(class_bytes(cl), 1024);
-        let (a, _) = acquire_or_alloc(cl);
-        release(cl, a);
+        let (a, _) = alloc_for::<[u8; 1000]>();
+        // SAFETY: no live value.
+        unsafe { free_for(a) };
         flush_thread_cache();
         assert!(trim() >= 1);
     }

@@ -20,9 +20,15 @@
 //! thread's caches back to the shared lists at worker teardown
 //! ([`flush_this_thread`]), and a thread-local destructor backstops
 //! non-pool threads.
+//!
+//! A cache hit touches only thread-local state: the pool keeps no shared
+//! count of its standby slabs. [`SlabPool::cached_slabs`] reads the
+//! lists themselves instead — the shared list plus the calling thread's
+//! cache — which is exact whenever no other thread holds a cache, i.e. at
+//! quiescence after worker teardown.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -36,11 +42,6 @@ pub struct SlabPool {
     /// the shared list, refill pulls up to `cache_cap / 2` back.
     cache_cap: usize,
     shared: Mutex<Vec<*mut u8>>,
-    /// Slabs currently held by the recycler — shared list *plus* every
-    /// thread cache. Incremented by [`release`](SlabPool::release),
-    /// decremented by [`acquire`](SlabPool::acquire)/[`trim`](SlabPool::trim);
-    /// moves between a cache and the shared list don't change it.
-    cached: AtomicUsize,
     /// Slabs spilled from a full thread cache to the shared list (ever).
     overflowed: AtomicU64,
 }
@@ -61,7 +62,6 @@ impl SlabPool {
             slab_bytes,
             cache_cap,
             shared: Mutex::new(Vec::new()),
-            cached: AtomicUsize::new(0),
             overflowed: AtomicU64::new(0),
         }
     }
@@ -77,13 +77,26 @@ impl SlabPool {
         self.slab_bytes
     }
 
-    /// Slabs currently held by the recycler (shared list + all thread
-    /// caches). Racy snapshot.
+    /// Slabs on the shared list plus in the calling thread's cache.
+    /// Caches of other live threads are not counted, so this is exact at
+    /// quiescence (workers flush at teardown, exiting threads through the
+    /// thread-local destructor); mid-run it is a racy snapshot that misses
+    /// other threads' caches.
     pub fn cached_slabs(&self) -> usize {
-        self.cached.load(Ordering::SeqCst)
+        let mine = CACHES
+            .try_with(|caches| {
+                let caches = caches.borrow();
+                caches
+                    .caches
+                    .iter()
+                    .find(|(p, _)| std::ptr::eq(*p, self))
+                    .map_or(0, |(_, c)| c.len())
+            })
+            .unwrap_or(0);
+        self.shared.lock().len() + mine
     }
 
-    /// Bytes currently held by the recycler.
+    /// Bytes in [`cached_slabs`](SlabPool::cached_slabs).
     pub fn cached_bytes(&self) -> usize {
         self.cached_slabs() * self.slab_bytes
     }
@@ -110,16 +123,12 @@ impl SlabPool {
             }
             slabs.pop()
         });
-        let ptr = match got {
+        match got {
             Some(ptr) => ptr,
             // Thread-locals torn down (or cache unavailable): go straight
             // to the shared list.
             None => self.shared.lock().pop(),
-        };
-        if ptr.is_some() {
-            self.cached.fetch_sub(1, Ordering::SeqCst);
         }
-        ptr
     }
 
     /// Hand one dead slab to the recycler. Ownership transfers to the
@@ -129,7 +138,6 @@ impl SlabPool {
     /// Returns how many slabs overflowed from this thread's cache to the
     /// shared list as a result (0 on the fast path).
     pub fn release(&'static self, ptr: *mut u8) -> usize {
-        self.cached.fetch_add(1, Ordering::SeqCst);
         let spilled = with_cache(self, |slabs| {
             slabs.push(ptr);
             if slabs.len() <= self.cache_cap {
@@ -163,7 +171,6 @@ impl SlabPool {
     /// slabs drained.
     pub fn trim(&self, mut free: impl FnMut(*mut u8)) -> usize {
         let drained: Vec<*mut u8> = std::mem::take(&mut *self.shared.lock());
-        self.cached.fetch_sub(drained.len(), Ordering::SeqCst);
         let n = drained.len();
         for ptr in drained {
             free(ptr);
@@ -173,8 +180,7 @@ impl SlabPool {
 
     /// Move this thread's cache for this pool (if any) onto the shared
     /// list, so another thread — or [`trim`](SlabPool::trim) — can see
-    /// those slabs. The `cached` gauge is unchanged (the slabs stay in
-    /// the recycler).
+    /// those slabs.
     pub fn flush_thread_cache(&'static self) {
         with_cache(self, |slabs| {
             if !slabs.is_empty() {
@@ -189,13 +195,19 @@ struct ThreadCaches {
     caches: Vec<(&'static SlabPool, Vec<*mut u8>)>,
 }
 
-impl Drop for ThreadCaches {
-    fn drop(&mut self) {
+impl ThreadCaches {
+    fn flush(&mut self) {
         for (pool, slabs) in &mut self.caches {
             if !slabs.is_empty() {
                 pool.shared.lock().append(slabs);
             }
         }
+    }
+}
+
+impl Drop for ThreadCaches {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -226,14 +238,7 @@ fn with_cache<R>(pool: &'static SlabPool, f: impl FnOnce(&mut Vec<*mut u8>) -> R
 /// finished [`crate::run`] leaves all recycled slabs globally visible
 /// (deterministic gauges for tests and the bench harness).
 pub fn flush_this_thread() {
-    let _ = CACHES.try_with(|caches| {
-        let mut caches = caches.borrow_mut();
-        for (pool, slabs) in &mut caches.caches {
-            if !slabs.is_empty() {
-                pool.shared.lock().append(slabs);
-            }
-        }
-    });
+    let _ = CACHES.try_with(|caches| caches.borrow_mut().flush());
 }
 
 #[cfg(test)]
@@ -301,14 +306,24 @@ mod tests {
     #[test]
     fn thread_exit_flushes_implicitly() {
         static POOL: SlabPool = SlabPool::new("test.exit", 64, 8);
-        let a = std::thread::spawn(|| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let t = std::thread::spawn(move || {
             let a = leak_slab();
             POOL.release(a);
-            a as usize // cached thread-locally; the TLS destructor must flush it
-        })
-        .join()
-        .unwrap();
+            assert_eq!(POOL.cached_slabs(), 1, "the releasing thread sees its own cache");
+            tx.send(a as usize).unwrap();
+            done_rx.recv().unwrap();
+            // Exit with the slab still cached thread-locally; the TLS
+            // destructor must flush it.
+        });
+        let a = rx.recv().unwrap();
+        assert_eq!(POOL.cached_slabs(), 0, "another live thread's cache is not counted");
+        done_tx.send(()).unwrap();
+        t.join().unwrap();
+        assert_eq!(POOL.cached_slabs(), 1, "the exit flush makes the slab visible here");
         assert_eq!(POOL.acquire(), Some(a as *mut u8));
+        assert_eq!(POOL.cached_slabs(), 0);
         unsafe { free_slab(a as *mut u8) };
     }
 

@@ -222,8 +222,8 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
 }
 
 /// Exclusive ownership of a scheduled vertex for the duration of its
-/// execution; retires the vertex (drop glue + slab recycling by birth
-/// provenance) on every exit path.
+/// execution; retires the vertex (drop glue + slab recycling) on every
+/// exit path.
 struct OwnedVertex<C: CounterFamily>(*mut Vertex<C>);
 
 impl<C: CounterFamily> std::ops::Deref for OwnedVertex<C> {

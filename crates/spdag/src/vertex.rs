@@ -21,15 +21,13 @@
 //!
 //! Vertices are the runtime's highest-churn allocation: every `spawn`
 //! makes two, every `chain`/`future`/`touch` at least one, and each lives
-//! exactly from creation to its single execution. Since PR 5 they are
-//! carved from the scheduler's size-class slab pools
-//! ([`sched::recycle`]) instead of `Box`: `Vertex::alloc` records the
-//! size class the memory came from in the `pooled` byte (or
-//! [`sched::recycle::UNPOOLED`] when the recycle switch was off at birth
-//! or `Vertex<C>` is off the class ladder), and `Vertex::retire` sends
-//! the slab back to that class after running drop glue — so warm-run
-//! spawn churn recirculates a small working set of slabs and stops
-//! touching the allocator. Small bodies (captures up to
+//! exactly from creation to its single execution. They are carved from
+//! the scheduler's size-class slab pools ([`sched::recycle`]) instead of
+//! `Box`: `Vertex::alloc` takes a slab of `Vertex<C>`'s class and
+//! `Vertex::retire` sends it back after running drop glue — the class is
+//! a function of the type, so the vertex records nothing about it — and
+//! warm-run spawn churn recirculates a small working set of slabs and
+//! stops touching the allocator. Small bodies (captures up to
 //! `INLINE_BODY_BYTES`) are stored *inside* the vertex (`BodySlot`)
 //! rather than behind `Box<dyn FnOnce>`, which removes the second
 //! allocation of the old spawn path; the third (the shared `DecPair`)
@@ -65,10 +63,10 @@ use crate::dag::Ctx;
 pub type Body<C> = Box<dyn for<'a> FnOnce(Ctx<'a, C>) + Send + 'static>;
 
 /// Capture-size ceiling (bytes) for bodies and strand state stored inline
-/// in the vertex. PR 5 hard-coded 24 B here; the knob now lives in
-/// [`sched::recycle`] next to the class ladder it really belongs to, and
-/// is sized so a suspended strand frame with up to 40 B of saved state
-/// (a couple of future handles plus loop indices) still inlines.
+/// in the vertex. The knob lives in [`sched::recycle`] next to the class
+/// ladder it really belongs to, and is sized so a suspended strand frame
+/// with up to 40 B of saved state (a couple of future handles plus loop
+/// indices) still inlines.
 pub(crate) const INLINE_BODY_BYTES: usize = sched::recycle::INLINE_SLOT_BYTES;
 
 /// Alignment ceiling for inline bodies (the buffer is 8-aligned).
@@ -179,18 +177,15 @@ where
     }
 }
 
-/// Storage tag: strand state held inline in the frame's buffer.
-const FRAME_INLINE: u8 = u8::MAX - 1;
-
 /// A resumable strand frame: the generalization of the one-shot inline
 /// body to a state machine that survives suspension. The frame owns the
 /// strand's saved state — inline in the vertex (≤
 /// [`sched::recycle::INLINE_SLOT_BYTES`]) or spilled onto the scheduler's
-/// class ladder — plus monomorphized resume/drop thunks. Between
-/// [`resume`](StrandFrame::resume) calls the frame sits in the vertex's
-/// `BodySlot` (state `Ready` before first schedule, `Suspended` while
-/// parked); the executor moves it out to run it (detaching the `&mut`
-/// borrow from the vertex) and moves it back on
+/// class ladder (the plain allocator past its top) — plus monomorphized
+/// resume/drop thunks. Between [`resume`](StrandFrame::resume) calls the
+/// frame sits in the vertex's `BodySlot` (state `Ready` before first
+/// schedule, `Suspended` while parked); the executor moves it out to run
+/// it (detaching the `&mut` borrow from the vertex) and moves it back on
 /// [`StrandPoll::Parked`].
 ///
 /// Spilled state lives at a stable address — only the 8-byte pointer
@@ -202,10 +197,9 @@ const FRAME_INLINE: u8 = u8::MAX - 1;
 pub(crate) struct StrandFrame<C: CounterFamily> {
     /// The state itself (inline) or the pointer to it (spilled).
     buf: InlineBuf,
-    /// [`FRAME_INLINE`], a recycle class, or
-    /// [`sched::recycle::UNPOOLED`] (plain-allocator spill; `drop_fn`
-    /// frees the memory too).
-    storage: u8,
+    /// Whether `buf` holds a pointer to the state rather than the state;
+    /// a spilled frame's `drop_fn` also frees the storage.
+    spilled: bool,
     resume_fn: for<'a, 'b> unsafe fn(*mut u8, &'a mut Ctx<'b, C>) -> StrandPoll,
     drop_fn: unsafe fn(*mut u8),
 }
@@ -221,47 +215,42 @@ impl<C: CounterFamily> StrandFrame<C> {
             unsafe { (buf.0.as_mut_ptr() as *mut S).write(strand) };
             return StrandFrame {
                 buf,
-                storage: FRAME_INLINE,
+                spilled: false,
                 resume_fn: resume_strand::<C, S>,
                 drop_fn: drop_inline::<S>,
             };
         }
-        // Oversized state spills behind a pointer: carved from the class
-        // ladder when it fits (recirculated across strands, so warm-run
-        // suspension churn allocates nothing fresh), plain Box otherwise.
+        // Oversized state spills behind a pointer into a slab of its class
+        // (recirculated across strands, so warm-run suspension churn
+        // allocates nothing fresh), or a plain allocation past the ladder.
         obs::counter!("spdag.strand_spilled").inc();
-        let class = if sched::recycle::enabled() { sched::recycle::class_of::<S>() } else { None };
-        let (ptr, storage, drop_fn): (*mut u8, u8, unsafe fn(*mut u8)) = match class {
-            Some(class) => {
-                let (raw, reused) = sched::recycle::acquire_or_alloc(class);
-                if reused {
-                    obs::counter!("sched.strand_reuse").inc();
-                } else {
-                    obs::counter!("sched.strand_alloc").inc();
-                }
-                // SAFETY: the slab is class-sized ≥ size_of::<S> and
-                // CLASS_ALIGN-aligned ≥ align_of::<S>.
-                unsafe { (raw as *mut S).write(strand) };
-                (raw, class, drop_inline::<S> as unsafe fn(*mut u8))
-            }
-            None => {
-                obs::counter!("sched.strand_alloc").inc();
-                let raw = Box::into_raw(Box::new(strand)) as *mut u8;
-                (raw, sched::recycle::UNPOOLED, drop_boxed::<S> as unsafe fn(*mut u8))
-            }
-        };
-        // SAFETY: the buffer is ≥ 8 bytes and 8-aligned; it now carries
-        // the pointer instead of the state.
-        unsafe { (buf.0.as_mut_ptr() as *mut *mut u8).write(ptr) };
-        StrandFrame { buf, storage, resume_fn: resume_strand::<C, S>, drop_fn }
+        let (ptr, reused) = sched::recycle::alloc_for::<S>();
+        if reused {
+            obs::counter!("sched.strand_reuse").inc();
+        } else {
+            obs::counter!("sched.strand_alloc").inc();
+        }
+        // SAFETY: `alloc_for` hands over exclusive storage for one S; the
+        // buffer is ≥ 8 bytes and 8-aligned and now carries the pointer
+        // instead of the state.
+        unsafe {
+            ptr.write(strand);
+            (buf.0.as_mut_ptr() as *mut *mut S).write(ptr);
+        }
+        StrandFrame {
+            buf,
+            spilled: true,
+            resume_fn: resume_strand::<C, S>,
+            drop_fn: drop_spilled::<S>,
+        }
     }
 
     fn state_ptr(&mut self) -> *mut u8 {
-        if self.storage == FRAME_INLINE {
-            self.buf.0.as_mut_ptr() as *mut u8
-        } else {
+        if self.spilled {
             // SAFETY: spilled frames store the state pointer in the buffer.
             unsafe { (self.buf.0.as_ptr() as *const *mut u8).read() }
+        } else {
+            self.buf.0.as_mut_ptr() as *mut u8
         }
     }
 
@@ -279,16 +268,8 @@ impl<C: CounterFamily> Drop for StrandFrame<C> {
     fn drop(&mut self) {
         let p = self.state_ptr();
         // SAFETY: the frame still owns a live S (resume takes &mut, never
-        // consumes); UNPOOLED's thunk also frees the box.
+        // consumes); a spilled frame's thunk also frees the storage.
         unsafe { (self.drop_fn)(p) };
-        match self.storage {
-            FRAME_INLINE => {}
-            sched::recycle::UNPOOLED => obs::counter!("sched.strand_dropped").inc(),
-            class => {
-                obs::counter!("sched.strand_recycled").inc();
-                sched::recycle::release(class, p);
-            }
-        }
     }
 }
 
@@ -302,9 +283,19 @@ where
     unsafe { (*(p as *mut S)).resume(ctx) }
 }
 
-unsafe fn drop_boxed<S>(p: *mut u8) {
-    // SAFETY: caller guarantees `p` came from Box::into_raw::<S>.
-    drop(unsafe { Box::from_raw(p as *mut S) });
+unsafe fn drop_spilled<S>(p: *mut u8) {
+    let p = p as *mut S;
+    // SAFETY: caller guarantees `p` holds a live S in storage from
+    // `alloc_for::<S>`, never used again.
+    let recycled = unsafe {
+        std::ptr::drop_in_place(p);
+        sched::recycle::free_for(p)
+    };
+    if recycled {
+        obs::counter!("sched.strand_recycled").inc();
+    } else {
+        obs::counter!("sched.strand_dropped").inc();
+    }
 }
 
 /// The vertex's body storage: empty, inline (captures ≤
@@ -384,11 +375,6 @@ pub struct Vertex<C: CounterFamily> {
     pub(crate) is_left: bool,
     /// Set when the vertex terminates by spawning/chaining (no signal).
     pub(crate) dead: bool,
-    /// Size class this vertex's memory came from
-    /// ([`sched::recycle::UNPOOLED`] when plainly allocated). Immutable
-    /// provenance: `Vertex::retire` routes by it, so flipping the
-    /// recycle switch mid-run never mismatches alloc/free.
-    pub(crate) pooled: u8,
     /// Number of `Scope::fork`s performed by this vertex (also salts the
     /// placement key so consecutive forks hash to different leaves).
     pub(crate) forks: u64,
@@ -444,73 +430,47 @@ impl<C: CounterFamily> Vertex<C> {
         is_left: bool,
         body: BodySlot<C>,
     ) -> *mut Vertex<C> {
-        let class =
-            if sched::recycle::enabled() { sched::recycle::class_of::<Vertex<C>>() } else { None };
-        match class {
-            Some(class) => {
-                let (raw, reused) = sched::recycle::acquire_or_alloc(class);
-                if reused {
-                    obs::counter!("sched.vertex_reuse").inc();
-                } else {
-                    obs::counter!("sched.vertex_alloc").inc();
-                }
-                let ptr = raw as *mut Vertex<C>;
-                // SAFETY: the slab is class-sized ≥ size_of::<Vertex<C>>,
-                // CLASS_ALIGN-aligned ≥ align_of, and exclusively ours.
-                unsafe {
-                    ptr.write(Vertex {
-                        counter,
-                        inc,
-                        dec,
-                        fin,
-                        is_left,
-                        dead: false,
-                        pooled: class,
-                        forks: 0,
-                        park_pending: false,
-                        body,
-                    });
-                }
-                ptr
-            }
-            None => {
-                obs::counter!("sched.vertex_alloc").inc();
-                Box::into_raw(Box::new(Vertex {
-                    counter,
-                    inc,
-                    dec,
-                    fin,
-                    is_left,
-                    dead: false,
-                    pooled: sched::recycle::UNPOOLED,
-                    forks: 0,
-                    park_pending: false,
-                    body,
-                }))
-            }
+        let (ptr, reused) = sched::recycle::alloc_for::<Vertex<C>>();
+        if reused {
+            obs::counter!("sched.vertex_reuse").inc();
+        } else {
+            obs::counter!("sched.vertex_alloc").inc();
         }
+        // SAFETY: `alloc_for` hands over exclusive storage for one vertex.
+        unsafe {
+            ptr.write(Vertex {
+                counter,
+                inc,
+                dec,
+                fin,
+                is_left,
+                dead: false,
+                forks: 0,
+                park_pending: false,
+                body,
+            });
+        }
+        ptr
     }
 
     /// Retire an executed (or otherwise finally-owned) vertex: run drop
-    /// glue, then route the memory by its birth provenance — back to its
-    /// size class, or to the allocator.
+    /// glue, then hand the memory back to `Vertex<C>`'s size class (or the
+    /// allocator, off the ladder).
     ///
     /// # Safety
     /// `ptr` must have come from `Vertex::alloc`/[`Vertex::alloc_parts`],
     /// be exclusively owned by the caller, and never be used afterwards.
     pub(crate) unsafe fn retire(ptr: *mut Vertex<C>) {
-        // SAFETY: exclusive ownership per the caller contract.
-        let class = unsafe { (*ptr).pooled };
-        if class == sched::recycle::UNPOOLED {
-            obs::counter!("sched.vertex_dropped").inc();
-            // SAFETY: unpooled vertices were Box-allocated in alloc_parts.
-            drop(unsafe { Box::from_raw(ptr) });
-        } else {
-            // SAFETY: valid for drop per the caller contract; the slab
-            // goes back to the class it was acquired from.
-            unsafe { std::ptr::drop_in_place(ptr) };
+        // SAFETY: valid for drop per the caller contract; the storage came
+        // from `alloc_for::<Vertex<C>>` in `alloc_parts`.
+        let recycled = unsafe {
+            std::ptr::drop_in_place(ptr);
+            sched::recycle::free_for(ptr)
+        };
+        if recycled {
             obs::counter!("sched.vertex_recycled").inc();
-            sched::recycle::release(class, ptr as *mut u8);
+        } else {
+            obs::counter!("sched.vertex_dropped").inc();
         }
     }
 

@@ -1,16 +1,15 @@
 //! Vertex/continuation recycling under real interleavings: random
 //! series-parallel programs — spawns, chains, scope forks and
-//! future/touch edges — executed on real worker pools with the class
-//! recycler on and off, checked against the accounting discipline of
-//! `sched::recycle`:
+//! future/touch edges — executed on real worker pools, checked against
+//! the accounting discipline of `sched::recycle`:
 //!
 //! 1. **Conservation** — at quiescence every vertex (and every pooled
 //!    refcount header) born is accounted dead exactly once:
 //!    `allocated + reused == recycled + dropped`. A violation is a leak
 //!    or a double-free caught by arithmetic.
-//! 2. **Provenance** — objects born with recycling disabled never enter
-//!    a class pool (`reused == recycled == 0` for a disabled run), even
-//!    when the pool is warm from earlier runs.
+//! 2. **Off-ladder route** — objects too big for the class ladder take
+//!    the plain allocator on both ends (`alloc == dropped`, no reuse),
+//!    with pooled objects alongside them untouched.
 //! 3. **Steady state** — once a few runs have filled the pools to the
 //!    peak-live high-water mark, further identical runs stop minting
 //!    fresh vertices and live on reuse.
@@ -26,10 +25,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use dynsnzi::prelude::*;
 use proptest::prelude::*;
-use sched::recycle;
+use sched::{recycle, PoolArc};
 
-/// Every test reads process-global recycler gauges and counters (and
-/// flips the process-wide switch): serialize them.
+/// Every test reads process-global recycler gauges and counters:
+/// serialize them.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -110,19 +109,16 @@ fn exec(ctx: Ctx<'_, DynSnzi>, prog: Prog, hits: Arc<AtomicU64>) {
     }
 }
 
-/// Execute `prog` on a real pool with the recycler switch set to
-/// `recycling`, then check exactly-once execution plus the conservation
-/// and provenance identities over the run's counter deltas.
-fn run_and_check(workers: usize, recycling: bool, prog: &Prog) {
+/// Execute `prog` on a real pool, then check exactly-once execution plus
+/// the conservation identities over the run's counter deltas.
+fn run_and_check(workers: usize, prog: &Prog) {
     let _guard = lock();
-    let prev = recycle::set_enabled(recycling);
     let before = Snapshot::take();
     let hits = Arc::new(AtomicU64::new(0));
     let h = Arc::clone(&hits);
     let p = prog.clone();
     run_dag::<DynSnzi, _>(DynConfig::default(), workers, move |ctx| exec(ctx, p, h));
     let d = Snapshot::take().diff(&before);
-    recycle::set_enabled(prev);
     assert_eq!(hits.load(Ordering::Relaxed), prog.hits(), "every body exactly once");
     if !obs::enabled() {
         return;
@@ -133,29 +129,16 @@ fn run_and_check(workers: usize, recycling: bool, prog: &Prog) {
         let dead = d.counter(&format!("sched.{kind}_recycled"))
             + d.counter(&format!("sched.{kind}_dropped"));
         assert_eq!(born, dead, "{kind} leak or double-account: born {born} != dead {dead}");
-        if !recycling {
-            // Provenance: everything born in this run observed the
-            // disabled switch, so nothing may touch a class pool — even
-            // though the pools may be warm from earlier runs.
-            let reused = d.counter(&format!("sched.{kind}_reuse"));
-            let recycled = d.counter(&format!("sched.{kind}_recycled"));
-            assert_eq!((reused, recycled), (0, 0), "{kind} used a pool while disabled");
-        }
     }
     assert!(d.counter("sched.vertex_alloc") + d.counter("sched.vertex_reuse") > 0, "dag ran");
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
     fn random_programs_conserve_with_recycling(prog in prog_strategy(), workers in 1usize..4) {
-        run_and_check(workers, true, &prog);
-    }
-
-    #[test]
-    fn random_programs_conserve_without_recycling(prog in prog_strategy(), workers in 1usize..4) {
-        run_and_check(workers, false, &prog);
+        run_and_check(workers, &prog);
     }
 }
 
@@ -179,7 +162,6 @@ fn churn_round(workers: usize, depth: u64) -> u64 {
 #[test]
 fn warm_runs_stop_minting_vertices() {
     let _guard = lock();
-    let prev = recycle::set_enabled(true);
     // Warm phase: the pools converge to the high-water mark of
     // simultaneously-live slabs; one run's peak is a noisy draw, so take
     // several before claiming steady state.
@@ -189,7 +171,6 @@ fn warm_runs_stop_minting_vertices() {
     let before = Snapshot::take();
     assert_eq!(churn_round(4, 10), 1 << 10);
     let d = Snapshot::take().diff(&before);
-    recycle::set_enabled(prev);
     if obs::enabled() {
         let (alloc, reuse) = (d.counter("sched.vertex_alloc"), d.counter("sched.vertex_reuse"));
         // O(peak-live jitter) fresh mints at most, never O(churn).
@@ -223,6 +204,73 @@ fn inline_class_inlines_and_oversize_boxes() {
     assert_eq!(hits.load(Ordering::Relaxed), 2);
     assert!(d.counter("spdag.body_boxed") >= 1, "64-byte capture must take the boxed path");
     assert!(d.counter("spdag.body_inline") >= 1, "small capture must take the inline path");
+}
+
+/// Assert the off-ladder accounting of `kind` over `d`: `born` objects,
+/// every one plainly allocated and plainly freed.
+fn assert_off_ladder(d: &Snapshot, kind: &str, born: u64) {
+    let get = |what: &str| d.counter(&format!("sched.{kind}_{what}"));
+    assert_eq!(
+        (get("alloc"), get("dropped"), get("reuse"), get("recycled")),
+        (born, born, 0, 0),
+        "{kind}: off-ladder objects must be allocated and dropped, never pooled"
+    );
+}
+
+#[test]
+fn off_ladder_objects_use_the_allocator() {
+    let _guard = lock();
+    const ARCS: u64 = 8;
+    const STRANDS: u64 = 16;
+    for workers in [1usize, 2] {
+        // A `PoolArc` whose header is over the 1024 B top class, shared
+        // with `workers` threads that read it and drop their clones.
+        let before = Snapshot::take();
+        let arcs: Vec<PoolArc<[u8; 2048]>> =
+            (0..ARCS).map(|i| PoolArc::new([i as u8; 2048])).collect();
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                let mine = arcs.clone();
+                s.spawn(move || {
+                    for (i, a) in mine.iter().enumerate() {
+                        assert!(a.iter().all(|&b| b == i as u8), "shared value corrupted");
+                    }
+                });
+            }
+        });
+        drop(arcs);
+        let arc_d = Snapshot::take().diff(&before);
+
+        // Strands whose state is over 1024 B: spilled behind a pointer to
+        // a plain allocation that must survive a park.
+        let before = Snapshot::take();
+        let hits = Arc::new(AtomicU64::new(0));
+        let h = Arc::clone(&hits);
+        run_dag::<DynSnzi, _>(DynConfig::default(), workers, move |mut ctx| {
+            let f = ctx.future(|_| 1u64);
+            for i in 0..STRANDS {
+                let (f, h) = (f.clone(), Arc::clone(&h));
+                let state = [i as u8; 1100];
+                ctx.fork_strand(move |c: &mut Ctx<'_, DynSnzi>| {
+                    let v = *strand_await!(c, &f);
+                    assert!(state.iter().all(|&b| b == i as u8), "spilled state corrupted");
+                    h.fetch_add(v, Ordering::Relaxed);
+                    StrandPoll::Done(())
+                });
+            }
+        });
+        let strand_d = Snapshot::take().diff(&before);
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            STRANDS,
+            "every strand exactly once (W={workers})"
+        );
+        if obs::enabled() {
+            assert_off_ladder(&arc_d, "poolarc", ARCS);
+            assert_off_ladder(&strand_d, "strand", STRANDS);
+            assert_eq!(strand_d.counter("spdag.strand_spilled"), STRANDS);
+        }
+    }
 }
 
 #[test]
