@@ -1,26 +1,20 @@
 //! The evaluation harness: regenerates every figure of the paper.
 //!
 //! ```text
-//! harness <fig8|...|fig15|outset|growth|spawncost|strandcost|all|obs|trace|chaos> [flags]
+//! harness <fig8|...|fig15|outset|growth|all|obs|trace|chaos> [flags]
 //!
-//! `obs`, `trace`, `spawncost` and `strandcost` are study
-//! subcommands (never part of `all`): `obs` prints one unified registry
-//! snapshot of a fanout-broadcast run (with `--assert-bound` it also
-//! recomputes the paper's per-add contention bound, the block-, vertex-
-//! and strand-recycling conservation identities — the last with the
-//! suspended/resumed terms — the warm-run zero-fresh-vertex and
-//! zero-fresh-strand-frame claims, and the steady-state footprints
-//! including suspended-but-live strand frames, failing if any is
-//! violated); `trace` records the run and writes Chrome Trace Event
-//! Format JSON to `--out` (see `docs/observability.md`); `spawncost`
-//! measures the vertex/continuation fast path on warm pools (`fib`,
-//! `pipeline_stages`, `fanout_broadcast`), reporting vertex alloc/reuse,
-//! inline vs boxed bodies and the wake-path counters, to
-//! `results/spawncost.json`; `strandcost` A/B's blocking
-//! (`touch_await`, strands that park) against continuation-passing
-//! (`touch`) awaits on `await_chain` and `pipeline_stages`, reporting
-//! suspend/resume and strand-frame counters to
-//! `results/strandcost.json`; `chaos` (built with `--features
+//! `obs`, `trace` and `chaos` are study subcommands (never part of
+//! `all`): `obs` prints one unified registry snapshot of a
+//! fanout-broadcast run (with `--assert-bound` it also recomputes, each
+//! as a named check, the paper's per-add contention bound, the block-,
+//! vertex- and strand-recycling conservation identities — the last with
+//! the suspended/resumed terms, on both blocking-await workloads — the
+//! warm-run zero-fresh-vertex and zero-fresh-strand-frame claims, the
+//! inline share of dag bodies, the never-parking continuation-passing
+//! awaits, and the steady-state footprints including suspended-but-live
+//! strand frames, failing if any is violated); `trace` records the run
+//! and writes Chrome Trace Event Format JSON to `--out` (see
+//! `docs/observability.md`); `chaos` (built with `--features
 //! fault-inject`) runs the deterministic fault-injection batteries —
 //! seeded failpoint plans over the lost-wake, recycle-miss,
 //! install-CAS, forced-bounce and panic-on-Nth-execution sites — each
@@ -45,16 +39,17 @@
 //! paper) and appends artifact-format records (Appendix D.5) to
 //! `results/figN.txt`.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use dynsnzi_bench::report::{fmt_throughput, print_row, Record, Reporter};
 use dynsnzi_bench::sweep::{median_duration, run_repeated, throughput_per_core, MeasureOpts};
 use dynsnzi_bench::workloads::{
-    await_chain, await_chain_ops, calibrate_dummy_unit_ns, fanin_ops, fanout_broadcast,
-    fanout_broadcast_ops, fanout_broadcast_probed, fib, indegree2_ops, outset_footprint_report,
-    pipeline_stages, pipeline_stages_blocking, pipeline_stages_ops, raw_counter_bench,
-    raw_growth_bench, raw_outset_bench, GrowthStats, RawCounter, RawOutset, TouchMode,
+    await_chain, calibrate_dummy_unit_ns, fanin_ops, fanout_broadcast, fanout_broadcast_ops,
+    fanout_broadcast_probed, fib, indegree2_ops, outset_footprint_report, pipeline_stages,
+    pipeline_stages_blocking, pipeline_stages_ops, raw_counter_bench, raw_growth_bench,
+    raw_outset_bench, GrowthStats, RawCounter, RawOutset, TouchMode,
 };
 use dynsnzi_bench::Algo;
 use incounter::{DynConfig, DynSnzi};
@@ -108,17 +103,7 @@ fn parse_args() -> Opts {
                 std::process::exit(0);
             }
             fig if fig.starts_with("fig")
-                || matches!(
-                    fig,
-                    "all"
-                        | "outset"
-                        | "growth"
-                        | "spawncost"
-                        | "strandcost"
-                        | "obs"
-                        | "trace"
-                        | "chaos"
-                ) =>
+                || matches!(fig, "all" | "outset" | "growth" | "obs" | "trace" | "chaos") =>
             {
                 figures.push(fig.to_string())
             }
@@ -186,12 +171,6 @@ fn main() {
     if explicit("trace") {
         trace_cmd(&opts);
     }
-    if explicit("spawncost") {
-        spawncost_study(&opts);
-    }
-    if explicit("strandcost") {
-        strandcost_study(&opts);
-    }
     if explicit("chaos") {
         chaos_cmd(&opts);
     }
@@ -220,18 +199,21 @@ fn obs_cmd(opts: &Opts) {
     );
     if opts.assert_bound {
         let contention_ok = check_contention_bounds(&d, w);
+        let inline_ok = check_inline_bodies(&d, opts);
         let recycle_ok = check_recycle_bounds(opts);
         let strand_ok = check_strand_bounds(opts);
         let poison_ok = check_poisoned_bounds(opts);
-        if !(contention_ok && recycle_ok && strand_ok && poison_ok) {
+        if !(contention_ok && inline_ok && recycle_ok && strand_ok && poison_ok) {
             std::process::exit(1);
         }
     }
 }
 
-/// Recompute the strand accounting on a blocking `await_chain` run —
-/// the workload where every stage parks. Three identities close the
-/// suspended-vertex hole the plain vertex checks had:
+/// Recompute the strand accounting on the two blocking-await workloads:
+/// `await_chain`, where every stage parks, and
+/// `pipeline_stages_blocking`, where parked strands overlap. Three
+/// identities close the suspended-vertex hole the plain vertex checks
+/// had:
 ///
 /// * **Exactly-once**: at quiescence `spdag.strand_suspend ==
 ///   spdag.strand_resume` — every park was repaid by one resumption.
@@ -248,16 +230,18 @@ fn obs_cmd(opts: &Opts) {
 ///   part of the claim.
 ///
 /// Also re-checks the warm-run claim for strands: with the class ladder
-/// warm, a repeat run mints zero fresh spilled frames (and the
-/// `await_chain` frames are small enough to inline — allocation-free
-/// before the pool is even consulted). Returns whether everything
-/// passed.
+/// warm, a repeat run mints zero fresh spilled frames, and the frames
+/// of both workloads are small enough to inline — allocation-free
+/// before the pool is even consulted. Last, the continuation-passing
+/// twins of both workloads must never park: CPS `pipeline_stages` has
+/// no strands at all, and CPS `await_chain`'s only strand is its sink.
+/// Returns whether everything passed.
 fn check_strand_bounds(opts: &Opts) -> bool {
     let w = opts.measure.max_workers;
     let n = (opts.measure.n / 4).max(1 << 10);
     let depth = (n / 16).max(64);
+    let (stages, width) = (32u64, (n / 64).max(16));
     let cfg = || DynConfig::with_threshold(Algo::default_threshold(w));
-    println!("\n## Strand accounting — await_chain depth={depth} (blocking), workers={w}");
 
     let mut all_ok = true;
     let mut check = |name: &str, pass: bool, detail: String| {
@@ -265,62 +249,140 @@ fn check_strand_bounds(opts: &Opts) -> bool {
         all_ok &= pass;
     };
 
-    let before = obs::Snapshot::take();
-    for _ in 0..3 {
-        await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Blocking);
-    }
-    let warm_cached = sched::recycle::cached_slabs();
-    let mid = obs::Snapshot::take();
-    await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Blocking);
-    let steady = obs::Snapshot::take().diff(&mid);
-    let total = obs::Snapshot::take().diff(&before);
+    type Leg<'a> = (String, Box<dyn Fn() + 'a>);
+    let blocking: [Leg<'_>; 2] = [
+        (
+            format!("await_chain depth={depth}"),
+            Box::new(|| {
+                await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Blocking);
+            }),
+        ),
+        (
+            format!("pipeline_stages_blocking {stages}x{width}"),
+            Box::new(|| {
+                pipeline_stages_blocking::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
+            }),
+        ),
+    ];
+    for (label, run) in &blocking {
+        println!("\n## Strand accounting — {label} (blocking), workers={w}");
+        let before = obs::Snapshot::take();
+        for _ in 0..3 {
+            run();
+        }
+        let warm_cached = sched::recycle::cached_slabs();
+        let mid = obs::Snapshot::take();
+        run();
+        let steady = obs::Snapshot::take().diff(&mid);
+        let total = obs::Snapshot::take().diff(&before);
 
-    let mut parked_live = 0u64;
-    if !obs::enabled() || total.is_empty() {
-        println!("  (telemetry compiled out; gauge-only checks)");
-    } else {
-        let (s, r) = (total.counter("spdag.strand_suspend"), total.counter("spdag.strand_resume"));
-        parked_live = s.saturating_sub(r);
+        let mut parked_live = 0u64;
+        if !obs::enabled() || total.is_empty() {
+            println!("  (telemetry compiled out; gauge-only checks)");
+        } else {
+            let (s, r) =
+                (total.counter("spdag.strand_suspend"), total.counter("spdag.strand_resume"));
+            parked_live = s.saturating_sub(r);
+            check(
+                "suspend-resume",
+                s == r && s > 0,
+                format!("suspended {s} == resumed {r} (exactly-once, and the workload did park)"),
+            );
+            let born = total.counter("sched.strand_alloc") + total.counter("sched.strand_reuse");
+            let dead =
+                total.counter("sched.strand_recycled") + total.counter("sched.strand_dropped");
+            check(
+                "strand-frame-conservation",
+                born == dead,
+                format!("spilled frames born {born} == dead {dead}"),
+            );
+            let vborn = total.counter("sched.vertex_alloc") + total.counter("sched.vertex_reuse");
+            let vdead =
+                total.counter("sched.vertex_recycled") + total.counter("sched.vertex_dropped");
+            check(
+                "vertex-conservation+suspension",
+                vborn == vdead,
+                format!(
+                    "born {vborn} == dead {vdead} with {s} suspends deferring (and {r} resumes \
+                     repaying) retirement"
+                ),
+            );
+            let (sa, si) =
+                (steady.counter("sched.strand_alloc"), steady.counter("spdag.strand_inline"));
+            check(
+                "warm-zero-strand-alloc",
+                sa == 0 && si > 0,
+                format!("warm run: {sa} fresh spilled frames, {si} frames inlined alloc-free"),
+            );
+        }
+        let cached = sched::recycle::cached_slabs();
         check(
-            "suspend-resume",
-            s == r && s > 0,
-            format!("suspended {s} == resumed {r} (exactly-once, and the workload did park)"),
-        );
-        let born = total.counter("sched.strand_alloc") + total.counter("sched.strand_reuse");
-        let dead = total.counter("sched.strand_recycled") + total.counter("sched.strand_dropped");
-        check(
-            "strand-frame-conservation",
-            born == dead,
-            format!("spilled frames born {born} == dead {dead}"),
-        );
-        let vborn = total.counter("sched.vertex_alloc") + total.counter("sched.vertex_reuse");
-        let vdead = total.counter("sched.vertex_recycled") + total.counter("sched.vertex_dropped");
-        check(
-            "vertex-conservation+suspension",
-            vborn == vdead,
+            "strand-footprint-ceiling",
+            cached <= 2 * warm_cached + 64 + parked_live as usize,
             format!(
-                "born {vborn} == dead {vdead} with {s} suspends deferring (and {r} resumes \
-                 repaying) retirement"
+                "class pools {cached} slabs <= 2 x warm {warm_cached} + 64 + {parked_live} \
+                 suspended-but-live frames"
             ),
         );
-        let (sa, si) =
-            (steady.counter("sched.strand_alloc"), steady.counter("spdag.strand_inline"));
+    }
+
+    println!(
+        "\n## CPS awaits — await_chain depth={depth}, pipeline_stages {stages}x{width}, \
+         workers={w}"
+    );
+    let before = obs::Snapshot::take();
+    await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Cps);
+    let mid = obs::Snapshot::take();
+    pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
+    let pipeline = obs::Snapshot::take().diff(&mid);
+    let chain = mid.diff(&before);
+    if !obs::enabled() || chain.is_empty() {
+        println!("  (telemetry compiled out; nothing to check)");
+    } else {
+        let (cs, ps) =
+            (chain.counter("spdag.strand_suspend"), pipeline.counter("spdag.strand_suspend"));
         check(
-            "warm-zero-strand-alloc",
-            sa == 0,
-            format!("warm run: {sa} fresh spilled frames ({si} frames inlined alloc-free)"),
+            "cps-never-parks",
+            ps == 0 && cs <= 1,
+            format!("pipeline_stages suspended {ps} == 0, await_chain {cs} <= 1 (its sink)"),
         );
     }
-    let cached = sched::recycle::cached_slabs();
-    check(
-        "strand-footprint-ceiling",
-        cached <= 2 * warm_cached + 64 + parked_live as usize,
-        format!(
-            "class pools {cached} slabs <= 2 x warm {warm_cached} + 64 + {parked_live} \
-             suspended-but-live frames"
-        ),
-    );
     println!("# strand checks: {}", if all_ok { "PASS" } else { "FAIL" });
+    all_ok
+}
+
+/// Recompute the inline share of dag bodies: the spawn fast path's
+/// continuations fit the vertex's inline slot, so at least 90 % of the
+/// bodies on a spawn- or broadcast-dominated workload run without a
+/// boxed allocation. Checked on `fanout`, the broadcast diff `obs` just
+/// took, and on one warm `fib` run. Returns whether everything passed.
+fn check_inline_bodies(fanout: &obs::Snapshot, opts: &Opts) -> bool {
+    // 1 596 spawns: the share depends on closure sizes, not on scale.
+    const FIB_N: u64 = 16;
+    let w = opts.measure.max_workers;
+    let cfg = || DynConfig::with_threshold(Algo::default_threshold(w));
+    println!("\n## Inline bodies — fanout_broadcast and fib({FIB_N}), workers={w}");
+    fib::<DynSnzi>(cfg(), w, FIB_N);
+    let before = obs::Snapshot::take();
+    fib::<DynSnzi>(cfg(), w, FIB_N);
+    let fib_diff = obs::Snapshot::take().diff(&before);
+    if !obs::enabled() || fib_diff.is_empty() {
+        println!("  (telemetry compiled out; nothing to check)");
+        return true;
+    }
+
+    let mut all_ok = true;
+    for (label, d) in [("fanout_broadcast", fanout), ("fib", &fib_diff)] {
+        let (inline, boxed) = (d.counter("spdag.body_inline"), d.counter("spdag.body_boxed"));
+        let pass = inline > 0 && 10 * inline >= 9 * (inline + boxed);
+        println!(
+            "  [{}] inline-bodies: {label}: inline {inline} of {} bodies (>= 90%)",
+            if pass { "ok  " } else { "FAIL" },
+            inline + boxed
+        );
+        all_ok &= pass;
+    }
+    println!("# inline-body checks: {}", if all_ok { "PASS" } else { "FAIL" });
     all_ok
 }
 
@@ -516,8 +578,8 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
         let (va, vr) = (steady.counter("sched.vertex_alloc"), steady.counter("sched.vertex_reuse"));
         check(
             "warm-zero-vertex-alloc",
-            va == 0,
-            format!("warm run: {va} fresh vertices (reused {vr})"),
+            va == 0 && vr > 0,
+            format!("warm run: {va} fresh vertices, {vr} reused"),
         );
     }
     let cached = outset::recycle::cached_blocks();
@@ -633,261 +695,6 @@ fn trace_cmd(opts: &Opts) {
     }
 }
 
-/// Smallest fib argument whose spawn count (`fib(n+1) - 1`) reaches
-/// `target` — sizes the fib workload from the harness's `--n` scale.
-fn fib_n_for(target: u64) -> u64 {
-    let (mut fibs, mut n) = ((0u64, 1u64), 0u64);
-    while fibs.1 - 1 < target {
-        fibs = (fibs.1, fibs.0 + fibs.1);
-        n += 1;
-    }
-    n
-}
-
-/// `harness spawncost`: the spawn-cost study for the zero-allocation
-/// fast path. Each workload runs cold a few times to warm the pools,
-/// then the timed warm runs are snapshot-diffed for the allocation,
-/// inline-body and wake-path counters. A warm run must mint **zero**
-/// fresh vertices and the spawn-dominated workloads must inline ≥90% of
-/// their bodies — CI checks exactly that from `results/spawncost.json`.
-fn spawncost_study(opts: &Opts) {
-    let w = opts.measure.max_workers;
-    let n = (opts.measure.n / 4).max(1 << 10);
-    let (stages, width) = (32u64, (n / 64).max(16));
-    let fib_n = fib_n_for(n / 2);
-    let mut rep = open_reporter(&opts.outdir, "spawncost");
-    println!("\n## Spawn-cost study — vertex/continuation recycling, workers={w}");
-    print_row(&[
-        "workload".to_string(),
-        "wall (s)".to_string(),
-        "vertex alloc".to_string(),
-        "vertex reuse".to_string(),
-        "inline".to_string(),
-        "boxed".to_string(),
-        "wakes".to_string(),
-        "spurious".to_string(),
-    ]);
-    let cfg = || DynConfig::with_threshold(Algo::default_threshold(w));
-    type Runner<'a> = (&'a str, Box<dyn Fn() -> Duration + 'a>);
-    let workloads: [Runner<'_>; 3] = [
-        ("fib", Box::new(move || fib::<DynSnzi>(cfg(), w, fib_n))),
-        (
-            "pipeline_stages",
-            Box::new(move || {
-                pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width)
-            }),
-        ),
-        (
-            "fanout_broadcast",
-            Box::new(move || fanout_broadcast::<DynSnzi, outset::TreeOutset>(cfg(), w, n)),
-        ),
-    ];
-    let mut configs = String::new();
-    for (name, runner) in &workloads {
-        // Cold phase: the pools' content converges to the *high-water
-        // mark* of simultaneously-live slabs, and a single run's peak is
-        // one noisy draw — take a few so the warm runs' peaks sit below
-        // the accumulated maximum and mint nothing fresh.
-        for _ in 0..3 {
-            let _cold = runner();
-        }
-        let before = obs::Snapshot::take();
-        let elapsed = median_duration(&run_repeated(opts.measure.runs, &runner));
-        let d = obs::Snapshot::take().diff(&before);
-        let cached_slabs = sched::recycle::cached_slabs();
-        let counters = [
-            ("vertex_alloc", d.counter("sched.vertex_alloc")),
-            ("vertex_reuse", d.counter("sched.vertex_reuse")),
-            ("poolarc_alloc", d.counter("sched.poolarc_alloc")),
-            ("poolarc_reuse", d.counter("sched.poolarc_reuse")),
-            ("body_inline", d.counter("spdag.body_inline")),
-            ("body_boxed", d.counter("spdag.body_boxed")),
-            ("blocks_allocated", d.counter("outset.blocks_allocated")),
-            ("blocks_reused", d.counter("outset.blocks_reused")),
-            ("wakeups", d.counter("sched.wakeups")),
-            ("spurious_wakes", d.counter("sched.spurious_wakes")),
-            ("parks", d.counter("sched.parks")),
-        ];
-        let get = |key: &str| counters.iter().find(|(k, _)| *k == key).unwrap().1;
-        print_row(&[
-            name.to_string(),
-            format!("{:.6}", elapsed.as_secs_f64()),
-            get("vertex_alloc").to_string(),
-            get("vertex_reuse").to_string(),
-            get("body_inline").to_string(),
-            get("body_boxed").to_string(),
-            get("wakeups").to_string(),
-            get("spurious_wakes").to_string(),
-        ]);
-        let mut r = Record::new("spawncost-study", "dag-vertex-recycling");
-        r.input("workload", name)
-            .input("proc", w)
-            .input("n", n)
-            .input("fib_n", fib_n)
-            .input("stages", stages)
-            .input("width", width);
-        r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()));
-        for (key, value) in counters {
-            r.output(key, value);
-        }
-        r.output("cached_slabs_after", cached_slabs);
-        rep.record(&r);
-        if !configs.is_empty() {
-            configs.push_str(",\n");
-        }
-        let kv: String = counters.iter().map(|(k, v)| format!(", \"{k}\": {v}")).collect();
-        configs.push_str(&format!(
-            "    {{\"workload\": \"{name}\", \"wall_s\": {:.6}{kv}, \
-             \"cached_slabs_after\": {cached_slabs}}}",
-            elapsed.as_secs_f64()
-        ));
-        // Drain both recyclers so the next workload starts cold.
-        sched::recycle::flush_thread_cache();
-        sched::recycle::trim();
-        outset::recycle::flush_thread_cache();
-        outset::recycle::trim();
-    }
-    let json = format!(
-        "{{\n  \"workers\": {w},\n  \"runs\": {},\n  \"telemetry\": {},\n  \"fib_n\": {fib_n},\n  \"configs\": [\n{configs}\n  ]\n}}\n",
-        opts.measure.runs,
-        obs::enabled()
-    );
-    let path = opts.outdir.join("spawncost.json");
-    ensure_dir(&opts.outdir);
-    write_text(&path, &json);
-    println!("# wrote {} and {}", rep.path().display(), path.display());
-    if !obs::enabled() {
-        println!("(telemetry compiled out — all counters read zero; wall clock still valid)");
-    }
-}
-
-/// `harness strandcost`: the blocking-vs-CPS await A/B. Each workload
-/// runs once per [`TouchMode`] — `await_chain` flips the per-stage
-/// future style, `pipeline_stages` swaps its interior cells between
-/// nested CPS touches and a two-await strand — with three cold runs
-/// warming the pools, then the timed warm runs snapshot-diffed for the
-/// suspension and strand-frame counters. The CPS rows read zero
-/// suspends by construction; the blocking rows must show
-/// `strand_suspend == strand_resume` and zero fresh spilled frames — CI
-/// checks exactly that from `results/strandcost.json`.
-fn strandcost_study(opts: &Opts) {
-    let w = opts.measure.max_workers;
-    let n = (opts.measure.n / 4).max(1 << 10);
-    let (stages, width) = (32u64, (n / 64).max(16));
-    let depth = (n / 16).max(64);
-    let mut rep = open_reporter(&opts.outdir, "strandcost");
-    println!("\n## Strand-cost study — blocking vs CPS awaits, workers={w}");
-    print_row(&[
-        "workload / mode".to_string(),
-        "wall (s)".to_string(),
-        "suspends".to_string(),
-        "resumes".to_string(),
-        "inline".to_string(),
-        "spilled".to_string(),
-        "frame alloc".to_string(),
-        "frame reuse".to_string(),
-    ]);
-    let cfg = || DynConfig::with_threshold(Algo::default_threshold(w));
-    type Runner<'a> = (&'a str, TouchMode, Box<dyn Fn() -> Duration + 'a>);
-    let runners: [Runner<'_>; 4] = [
-        (
-            "await_chain",
-            TouchMode::Cps,
-            Box::new(move || await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Cps)),
-        ),
-        (
-            "await_chain",
-            TouchMode::Blocking,
-            Box::new(move || await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Blocking)),
-        ),
-        (
-            "pipeline_stages",
-            TouchMode::Cps,
-            Box::new(move || {
-                pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width)
-            }),
-        ),
-        (
-            "pipeline_stages",
-            TouchMode::Blocking,
-            Box::new(move || {
-                pipeline_stages_blocking::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width)
-            }),
-        ),
-    ];
-    let mut configs = String::new();
-    for (name, mode, runner) in &runners {
-        // Warm the class pools so the measured runs report steady state
-        // (same rationale as the spawn-cost study's cold phase).
-        for _ in 0..3 {
-            let _cold = runner();
-        }
-        let before = obs::Snapshot::take();
-        let elapsed = median_duration(&run_repeated(opts.measure.runs, &runner));
-        let d = obs::Snapshot::take().diff(&before);
-        let counters = [
-            ("strand_suspend", d.counter("spdag.strand_suspend")),
-            ("strand_resume", d.counter("spdag.strand_resume")),
-            ("touch_awaits", d.counter("spdag.touch_awaits")),
-            ("touches", d.counter("spdag.touches")),
-            ("strand_inline", d.counter("spdag.strand_inline")),
-            ("strand_spilled", d.counter("spdag.strand_spilled")),
-            ("strand_alloc", d.counter("sched.strand_alloc")),
-            ("strand_reuse", d.counter("sched.strand_reuse")),
-            ("vertex_alloc", d.counter("sched.vertex_alloc")),
-            ("vertex_reuse", d.counter("sched.vertex_reuse")),
-        ];
-        let get = |key: &str| counters.iter().find(|(k, _)| *k == key).unwrap().1;
-        print_row(&[
-            format!("{name} / {}", mode.name()),
-            format!("{:.6}", elapsed.as_secs_f64()),
-            get("strand_suspend").to_string(),
-            get("strand_resume").to_string(),
-            get("strand_inline").to_string(),
-            get("strand_spilled").to_string(),
-            get("strand_alloc").to_string(),
-            get("strand_reuse").to_string(),
-        ]);
-        let mut r = Record::new("strandcost-study", "strand-suspension");
-        r.input("workload", name)
-            .input("mode", mode.name())
-            .input("proc", w)
-            .input("n", n)
-            .input("depth", depth)
-            .input("stages", stages)
-            .input("width", width);
-        r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()));
-        if *name == "await_chain" {
-            r.output("ops", await_chain_ops(depth));
-        }
-        for (key, value) in counters {
-            r.output(key, value);
-        }
-        rep.record(&r);
-        if !configs.is_empty() {
-            configs.push_str(",\n");
-        }
-        let kv: String = counters.iter().map(|(k, v)| format!(", \"{k}\": {v}")).collect();
-        configs.push_str(&format!(
-            "    {{\"workload\": \"{name}\", \"mode\": \"{}\", \"wall_s\": {:.6}{kv}}}",
-            mode.name(),
-            elapsed.as_secs_f64()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"workers\": {w},\n  \"runs\": {},\n  \"telemetry\": {},\n  \"depth\": {depth},\n  \"configs\": [\n{configs}\n  ]\n}}\n",
-        opts.measure.runs,
-        obs::enabled()
-    );
-    let path = opts.outdir.join("strandcost.json");
-    ensure_dir(&opts.outdir);
-    write_text(&path, &json);
-    println!("# wrote {} and {}", rep.path().display(), path.display());
-    if !obs::enabled() {
-        println!("(telemetry compiled out — all counters read zero; wall clock still valid)");
-    }
-}
-
 /// Median-of-runs with one discarded warm-up run.
 fn measure(runs: usize, mut f: impl FnMut() -> Duration) -> Duration {
     let _warmup = f();
@@ -906,6 +713,13 @@ fn measure_growth(runs: usize, mut f: impl FnMut() -> GrowthStats) -> (Duration,
         e
     });
     (elapsed, stats.expect("measure ran at least once"))
+}
+
+thread_local! {
+    /// Registry reading at the previous fanin record: each record's
+    /// `nb_incounter_nodes` counts the SNZI nodes created (net of
+    /// pruning) since then.
+    static LAST_FANIN: RefCell<obs::Snapshot> = RefCell::new(obs::Snapshot::default());
 }
 
 fn record_fanin(
@@ -931,10 +745,11 @@ fn record_fanin(
         "throughput_per_core",
         format!("{:.1}", throughput_per_core(fanin_ops(n), elapsed, workers)),
     );
-    #[cfg(feature = "global-stats")]
-    {
-        r.output("nb_incounter_nodes", snzi::stats::global::live_nodes());
-        snzi::stats::global::reset();
+    if obs::enabled() {
+        let now = obs::Snapshot::take();
+        let d = now.diff(&LAST_FANIN.replace(now.clone()));
+        let pairs = d.counter("snzi.grow_installs") - d.counter("snzi.pruned_pairs");
+        r.output("nb_incounter_nodes", d.counter("snzi.trees_created") + 2 * pairs);
     }
     rep.record(&r);
 }

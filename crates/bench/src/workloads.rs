@@ -245,8 +245,7 @@ pub fn pipeline_stages_ops(stages: u64, width: u64) -> u64 {
     3 * stages * width
 }
 
-/// How a dependent awaits its input future in the strand-cost A/B study
-/// (`harness strandcost`).
+/// How a dependent awaits its input future in [`await_chain`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TouchMode {
     /// Continuation passing: `future_then` / `touch` — the dependent is a
@@ -255,16 +254,6 @@ pub enum TouchMode {
     /// Blocking style: `future_strand` / `touch_await` — the dependent is
     /// a resumable strand that parks mid-body.
     Blocking,
-}
-
-impl TouchMode {
-    /// Display name used in study records.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TouchMode::Cps => "cps",
-            TouchMode::Blocking => "blocking",
-        }
-    }
 }
 
 /// The await-chain benchmark: `depth` futures in one sequential
@@ -312,12 +301,6 @@ pub fn await_chain<C: CounterFamily>(
     .elapsed;
     assert_eq!(out.load(Ordering::Relaxed), depth - 1, "await_chain(depth={depth}) misfolded");
     elapsed
-}
-
-/// Future/await operations performed by `await_chain(depth)`: one future
-/// plus one await per stage, plus the sink's await — ≈ `2·depth`.
-pub fn await_chain_ops(depth: u64) -> u64 {
-    2 * depth
 }
 
 /// [`pipeline_stages`] with every interior join cell rewritten in
@@ -773,7 +756,6 @@ mod tests {
                 await_chain::<FetchAdd>((), workers, 64, mode);
             }
         }
-        assert_eq!(await_chain_ops(64), 128);
     }
 
     #[test]
@@ -792,12 +774,6 @@ mod tests {
             pipeline_stages_blocking::<DynSnzi, TreeOutset>(DynConfig::default(), workers, 8, 16);
             pipeline_stages_blocking::<DynSnzi, MutexOutset>(DynConfig::default(), workers, 8, 16);
         }
-    }
-
-    #[test]
-    fn touch_mode_names_are_stable() {
-        assert_eq!(TouchMode::Cps.name(), "cps");
-        assert_eq!(TouchMode::Blocking.name(), "blocking");
     }
 
     #[test]

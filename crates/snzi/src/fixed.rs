@@ -11,15 +11,9 @@
 //! Depth 0 degenerates to a single root cell — structurally the same shared
 //! hot-spot as a fetch-and-add counter, but with the SNZI root protocol.
 
-#[cfg(feature = "stats")]
-use std::sync::atomic::Ordering;
-
 use crate::node::{node_arrive, node_depart, Node, ParentRef};
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
-#[cfg(feature = "stats")]
-use crate::stats::StatsSnapshot;
-use crate::stats::TreeStats;
 use crate::tree::{Handle, NodeRefInner};
 
 /// Largest supported depth (2^21 − 1 nodes ≈ 2M; the paper sweeps 1..=9).
@@ -33,7 +27,6 @@ pub struct FixedSnzi {
     /// parent pointers into the buffer stay valid.
     nodes: Vec<Node>,
     depth: u32,
-    stats: TreeStats,
 }
 
 impl FixedSnzi {
@@ -62,7 +55,7 @@ impl FixedSnzi {
                 (*base.add(k - 1)).parent = ParentRef::Node(base.add(pk - 1) as *const Node);
             }
         }
-        FixedSnzi { root, nodes, depth, stats: TreeStats::default() }
+        FixedSnzi { root, nodes, depth }
     }
 
     /// The configured depth `d`.
@@ -119,12 +112,11 @@ impl FixedSnzi {
     /// If `leaf >= leaf_count()`.
     pub fn arrive_leaf(&self, leaf: usize) {
         assert!(leaf < self.leaf_count(), "leaf {leaf} out of range");
-        let path = match self.leaf_node(leaf) {
+        match self.leaf_node(leaf) {
             // SAFETY: the node belongs to self and lives as long as &self.
             Some(n) => unsafe { node_arrive(n) },
             None => self.root.arrive(),
         };
-        self.stats.record_arrive(path.arrives);
     }
 
     /// Arrive at the leaf selected by hashing `key`; returns the leaf index
@@ -147,50 +139,30 @@ impl FixedSnzi {
     /// If `leaf >= leaf_count()`, or if the execution is not valid.
     pub fn depart_leaf(&self, leaf: usize) -> bool {
         assert!(leaf < self.leaf_count(), "leaf {leaf} out of range");
-        let (ended, path) = match self.leaf_node(leaf) {
+        let (ended, _) = match self.leaf_node(leaf) {
             // SAFETY: as in arrive_leaf.
             Some(n) => unsafe { node_depart(n) },
             None => self.root.depart(),
         };
-        self.stats.record_depart(path.departs);
         ended
     }
 
     /// Arrive directly at the root (used for initial-surplus bookkeeping
     /// by the counter-family layer).
     pub fn arrive_root(&self) {
-        let path = self.root.arrive();
-        self.stats.record_arrive(path.arrives);
+        self.root.arrive();
     }
 
     /// Depart directly at the root; returns `true` iff this departure
     /// ended the tree's non-zero period.
     pub fn depart_root(&self) -> bool {
-        let (ended, path) = self.root.depart();
-        self.stats.record_depart(path.departs);
-        ended
+        self.root.depart().0
     }
 
     /// Does the tree have surplus? One word read at the root.
     #[inline]
     pub fn query(&self) -> bool {
         self.root.query()
-    }
-
-    /// Snapshot of the per-tree operation statistics.
-    #[cfg(feature = "stats")]
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Maximum per-node touch count across the whole tree.
-    #[cfg(feature = "stats")]
-    pub fn max_node_touch(&mut self) -> u64 {
-        let mut m = self.root.touches.load(Ordering::Relaxed);
-        for n in &self.nodes {
-            m = m.max(n.touches.load(Ordering::Relaxed));
-        }
-        m
     }
 }
 

@@ -41,11 +41,13 @@
 //! discipline on top, which is the paper's whole point: nested parallelism
 //! makes these invariants hold by construction.
 //!
-//! With the `stats` feature (on by default) trees record operation counts,
-//! arrive path lengths and per-node touch counts, which the test-suite uses
-//! to check the paper's contention theorems empirically (no increment may
-//! invoke more than 3 arrives — Corollary 4.7; no node is ever touched by
-//! more than 6 operations — Theorem 4.9).
+//! Every tree records its growth and prune counts and its longest arrive
+//! and depart chains ([`SnziTree::stats`]); with telemetry compiled in
+//! (the `telemetry` feature, on by default) each node also counts the
+//! operations that touch it ([`SnziTree::contention_profile`]). The
+//! test-suite uses both to check the paper's contention theorems
+//! empirically (no increment may invoke more than 3 arrives — Corollary
+//! 4.7; no node is ever touched by more than 6 operations — Theorem 4.9).
 //!
 //! ```
 //! use snzi::SnziTree;
@@ -82,5 +84,4 @@ pub use coin::{Coin, Probability, ThreadCoin, XorShift64Star};
 pub use fixed::FixedSnzi;
 pub use node::{ChildPair, Node};
 pub use root::Root;
-pub use stats::TreeStats;
 pub use tree::{Handle, SnziTree};

@@ -48,8 +48,8 @@ pub(crate) enum ParentRef {
 }
 
 /// Statistics returned by a single arrive/depart call chain. Always
-/// computed (the compiler removes it when unused); the `stats` feature only
-/// controls the heavier per-node counters.
+/// computed (the compiler removes it when unused); only the heavier
+/// per-node touch counters depend on telemetry being compiled in.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpPath {
     /// Number of nodes on which an `arrive` operation ran (the quantity
@@ -93,8 +93,7 @@ pub struct Node {
     pub(crate) depth: u32,
     /// Number of operations that performed a non-trivial (state-changing)
     /// step on this node; Theorem 4.9 bounds this by 6 in the in-counter
-    /// discipline.
-    #[cfg(feature = "stats")]
+    /// discipline. Counted only when telemetry is compiled in.
     pub(crate) touches: AtomicU64,
 }
 
@@ -121,7 +120,6 @@ impl Node {
             parent,
             tree_id,
             depth,
-            #[cfg(feature = "stats")]
             touches: AtomicU64::new(0),
         }
     }
@@ -135,8 +133,9 @@ impl Node {
     /// Record one non-trivial step against this node.
     #[inline(always)]
     fn touch(&self) {
-        #[cfg(feature = "stats")]
-        self.touches.fetch_add(1, Ordering::Relaxed);
+        if obs::enabled() {
+            self.touches.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     #[inline(always)]

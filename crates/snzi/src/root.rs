@@ -45,8 +45,8 @@ pub struct Root {
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) tree_id: u32,
     /// Number of operations performing a non-trivial step here (excludes
-    /// `query`, which is a trivial read).
-    #[cfg(feature = "stats")]
+    /// `query`, which is a trivial read). Counted only when telemetry is
+    /// compiled in.
     pub(crate) touches: AtomicU64,
 }
 
@@ -69,15 +69,15 @@ impl Root {
             ind: AtomicU64::new(ind),
             children: AtomicPtr::new(std::ptr::null_mut()),
             tree_id,
-            #[cfg(feature = "stats")]
             touches: AtomicU64::new(0),
         }
     }
 
     #[inline(always)]
     fn touch(&self) {
-        #[cfg(feature = "stats")]
-        self.touches.fetch_add(1, Ordering::Relaxed);
+        if obs::enabled() {
+            self.touches.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     #[inline(always)]

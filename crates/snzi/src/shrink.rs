@@ -79,8 +79,6 @@ impl SnziTree {
         }
         self.stats_ref().pruned_pairs.fetch_add(pairs, std::sync::atomic::Ordering::Relaxed);
         obs::counter!("snzi.pruned_pairs").add(pairs);
-        #[cfg(feature = "global-stats")]
-        crate::stats::global::PAIRS_PRUNED.fetch_add(pairs, std::sync::atomic::Ordering::Relaxed);
         let first_addr = first as usize;
         // SAFETY (defer_unchecked): the closure runs once, after every
         // guard pinned at detach time has unpinned; by the caller's

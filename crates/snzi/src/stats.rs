@@ -12,8 +12,9 @@
 //!   construction.
 //!
 //! Per-node touch counters (for the Theorem 4.9 check) live on the nodes
-//! themselves behind the `stats` feature: they add one relaxed RMW to a
-//! cache line the operation already owns.
+//! themselves and are bumped only when telemetry is compiled in
+//! ([`obs::enabled`]): they add one relaxed RMW to a cache line the
+//! operation already owns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,43 +85,6 @@ impl StatsSnapshot {
     /// prune counts (1 root + 2 per installed, minus 2 per pruned pair).
     pub fn node_count(&self) -> u64 {
         1 + 2 * (self.grow_installs - self.pruned_pairs)
-    }
-}
-
-/// Process-wide counters for the harness's artifact output (`global-stats`
-/// feature). These are hot shared lines by design — never enable them for
-/// contention measurements.
-#[cfg(feature = "global-stats")]
-pub mod global {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Trees (in-counters) created since process start / last reset.
-    pub static TREES_CREATED: AtomicU64 = AtomicU64::new(0);
-    /// Child pairs installed by `grow`.
-    pub static PAIRS_INSTALLED: AtomicU64 = AtomicU64::new(0);
-    /// Child pairs detached by pruning.
-    pub static PAIRS_PRUNED: AtomicU64 = AtomicU64::new(0);
-
-    /// `(trees, pairs_installed, pairs_pruned)` snapshot.
-    pub fn snapshot() -> (u64, u64, u64) {
-        (
-            TREES_CREATED.load(Ordering::Relaxed),
-            PAIRS_INSTALLED.load(Ordering::Relaxed),
-            PAIRS_PRUNED.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Total SNZI nodes currently implied by the counters.
-    pub fn live_nodes() -> u64 {
-        let (trees, installed, pruned) = snapshot();
-        trees + 2 * (installed - pruned)
-    }
-
-    /// Zero all counters (between harness configurations).
-    pub fn reset() {
-        TREES_CREATED.store(0, Ordering::Relaxed);
-        PAIRS_INSTALLED.store(0, Ordering::Relaxed);
-        PAIRS_PRUNED.store(0, Ordering::Relaxed);
     }
 }
 

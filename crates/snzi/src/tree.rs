@@ -23,9 +23,7 @@ use crate::coin::{Coin, Probability, ThreadCoin};
 use crate::node::{node_arrive, node_depart, ChildPair, Node, OpPath, ParentRef};
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
-#[cfg(feature = "stats")]
-use crate::stats::StatsSnapshot;
-use crate::stats::TreeStats;
+use crate::stats::{StatsSnapshot, TreeStats};
 
 static TREE_IDS: AtomicU32 = AtomicU32::new(1);
 
@@ -116,8 +114,6 @@ impl SnziTree {
         assert!(initial <= MAX_ROOT_SURPLUS as u64, "initial surplus too large");
         let id = next_tree_id();
         obs::counter!("snzi.trees_created").inc();
-        #[cfg(feature = "global-stats")]
-        crate::stats::global::TREES_CREATED.fetch_add(1, Ordering::Relaxed);
         SnziTree {
             root: Box::new(Root::new(initial as u32, id)),
             p,
@@ -294,8 +290,6 @@ impl SnziTree {
                 Ok(_) => {
                     self.stats.grow_installs.fetch_add(1, Ordering::Relaxed);
                     obs::counter!("snzi.grow_installs").inc();
-                    #[cfg(feature = "global-stats")]
-                    crate::stats::global::PAIRS_INSTALLED.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(_) => {
                     // Lost the race; reclaim the local allocation.
@@ -336,14 +330,17 @@ impl SnziTree {
         };
         let first = children.swap(std::ptr::null_mut(), Ordering::AcqRel);
         // SAFETY: exclusive access below `h` per caller contract.
-        unsafe { free_subtrees(first) }
+        let freed = unsafe { free_subtrees(first) };
+        self.stats.pruned_pairs.fetch_add(freed / 2, Ordering::Relaxed);
+        obs::counter!("snzi.pruned_pairs").add(freed / 2);
+        freed
     }
 
     /// Walk the tree and return `(node_count, max_touch, total_touch)`
     /// where the touch figures come from the per-node instrumentation.
     /// Intended for tests and reports; takes `&mut self` so no operations
-    /// race the traversal.
-    #[cfg(feature = "stats")]
+    /// race the traversal. Touch figures read 0 when telemetry is
+    /// compiled out.
     pub fn contention_profile(&mut self) -> ContentionProfile {
         let mut nodes = 1u64;
         let mut max_touch = self.root.touches.load(Ordering::Relaxed);
@@ -374,7 +371,6 @@ impl SnziTree {
     }
 
     /// Snapshot of the per-tree operation statistics.
-    #[cfg(feature = "stats")]
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
     }
@@ -407,7 +403,6 @@ impl SnziTree {
 }
 
 /// Result of [`SnziTree::contention_profile`].
-#[cfg(feature = "stats")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionProfile {
     /// Total nodes in the tree (root included).
@@ -550,8 +545,11 @@ mod tests {
         let (ll, _) = unsafe { t.grow_always(l) };
         let _ = unsafe { t.grow_always(ll) };
         // Subtree below `l`: pair(ll,lr) + pair under ll = 4 nodes.
+        assert_eq!(t.stats().node_count(), 7);
         let freed = unsafe { t.prune_children(l) };
         assert_eq!(freed, 4);
+        assert_eq!(t.stats().pruned_pairs, 2);
+        assert_eq!(t.stats().node_count(), 3);
         // Growing again after a prune re-installs fresh children.
         let (nl, _) = unsafe { t.grow_always(l) };
         assert_ne!(nl.addr(), ll.addr());

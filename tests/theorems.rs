@@ -1,5 +1,7 @@
-//! Empirical checks of the paper's analysis (Section 4), using the `stats`
-//! instrumentation:
+//! Empirical checks of the paper's analysis (Section 4), using the SNZI
+//! trees' own instrumentation — per-tree statistics in every build, and
+//! per-node touch counters that count only with telemetry compiled in
+//! (the touch-only tests are ignored without it):
 //!
 //! * **Corollary 4.7** — with growth probability 1, no increment invokes
 //!   more than 3 arrive operations on the SNZI tree.
@@ -98,6 +100,7 @@ fn corollary_4_7_arrive_chains_bounded_by_three() {
 }
 
 #[test]
+#[cfg_attr(not(feature = "telemetry"), ignore = "per-node touches count only with telemetry")]
 fn theorem_4_9_per_node_touches_constant_in_n() {
     let cfg = DynConfig::always_grow();
     let mut observed = Vec::new();
@@ -123,6 +126,7 @@ fn theorem_4_9_per_node_touches_constant_in_n() {
 }
 
 #[test]
+#[cfg_attr(not(feature = "telemetry"), ignore = "per-node touches count only with telemetry")]
 fn negative_control_p0_concentrates_touches() {
     // With growth disabled the theorems' precondition fails: every
     // operation lands on the root and its touch count grows linearly.
@@ -149,7 +153,7 @@ fn theorem_4_9_holds_under_parallel_expansion() {
     // The same discipline with real threads: a parallel top of the spawn
     // tree (8 threads), sequential below, leaves signalled by their own
     // thread. Exactly-once readiness and the per-node bound must survive
-    // concurrency.
+    // concurrency (the latter is checked only where touches are counted).
     let cfg = DynConfig::always_grow();
     let tree = Arc::new(DynSnzi::make(&cfg, 1));
     let endings = Arc::new(AtomicU64::new(0));
@@ -186,6 +190,8 @@ fn theorem_4_9_holds_under_parallel_expansion() {
     assert!(!tree.query(), "all surplus drained");
     let stats = tree.stats();
     assert!(stats.max_arrive_chain <= 3, "Corollary 4.7 under concurrency");
-    let profile = tree.contention_profile();
-    assert!(profile.max_touch <= 16, "Theorem 4.9 under concurrency: {}", profile.max_touch);
+    if obs::enabled() {
+        let profile = tree.contention_profile();
+        assert!(profile.max_touch <= 16, "Theorem 4.9 under concurrency: {}", profile.max_touch);
+    }
 }
