@@ -6,8 +6,8 @@
 //! `obs`, `trace` and `chaos` are study subcommands (never part of
 //! `all`): `obs` prints one unified registry snapshot of a
 //! fanout-broadcast run (with `--assert-bound` it also recomputes, each
-//! as a named check, the paper's per-add contention bound, the block-,
-//! vertex- and strand-recycling conservation identities — the last with
+//! as a named check, the paper's per-add contention bound, the block,
+//! vertex and strand-frame conservation identities — the last with
 //! the suspended/resumed terms, on both blocking-await workloads — the
 //! warm-run zero-fresh-vertex and zero-fresh-strand-frame claims, the
 //! inline share of dag bodies, the never-parking continuation-passing
@@ -445,6 +445,12 @@ fn check_poisoned_bounds(opts: &Opts) -> bool {
                 d.counter("spdag.body_panics")
             ),
         );
+        let (ba, bd) = (d.counter("outset.blocks_allocated"), d.counter("outset.blocks_dropped"));
+        check(
+            "poisoned-block-conservation",
+            ba == bd,
+            format!("allocated {ba} == dropped {bd} despite the mid-run panic"),
+        );
         for (label, alloc, reuse, recycled, dropped) in [
             (
                 "vertex",
@@ -452,13 +458,6 @@ fn check_poisoned_bounds(opts: &Opts) -> bool {
                 "sched.vertex_reuse",
                 "sched.vertex_recycled",
                 "sched.vertex_dropped",
-            ),
-            (
-                "block",
-                "outset.blocks_allocated",
-                "outset.blocks_reused",
-                "outset.blocks_recycled",
-                "outset.blocks_dropped",
             ),
             (
                 "poolarc",
@@ -491,14 +490,14 @@ fn check_poisoned_bounds(opts: &Opts) -> bool {
     all_ok
 }
 
-/// Recompute the slab-recycling accounting — both the out-set block pool
-/// (`outset::recycle`) and the vertex/continuation class pools
-/// (`sched::recycle`) — on a fresh quiesced workload, plus the
-/// steady-state claims on the pipeline: a second identically-shaped
-/// `pipeline_stages` run must be fed from the slabs the first retired
-/// (for vertices: **zero** fresh allocations), and neither free list may
-/// keep growing (size tracks peak-live, not cumulative churn). Returns
-/// whether everything passed.
+/// Recompute the allocation accounting on a fresh quiesced workload —
+/// out-set blocks (allocated with their out-set, freed when it drops)
+/// and the vertex/continuation class pools (`sched::recycle`) — plus
+/// the steady-state claims on the pipeline: a second identically-shaped
+/// `pipeline_stages` run must mint **zero** fresh vertices, fed from the
+/// slabs the first retired, and the class pools may not keep growing
+/// (size tracks peak-live, not cumulative churn). Returns whether
+/// everything passed.
 fn check_recycle_bounds(opts: &Opts) -> bool {
     let w = opts.measure.max_workers;
     let n = (opts.measure.n / 4).max(1 << 10);
@@ -519,7 +518,6 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
     for _ in 0..3 {
         pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
     }
-    let warm_cached = outset::recycle::cached_blocks();
     let warm_sched_cached = sched::recycle::cached_slabs();
     let mid = obs::Snapshot::take();
     pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
@@ -529,18 +527,14 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
     if !obs::enabled() || total.is_empty() {
         println!("  (telemetry compiled out; gauge-only checks)");
     } else {
-        // Both snapshot boundaries are quiescent (runs joined, domains
-        // drained, worker caches flushed), so births equal deaths — for
-        // out-set blocks, dag vertices, and pooled refcount headers
-        // alike.
+        // Both snapshot boundaries are quiescent (runs joined, every
+        // out-set dropped, worker caches flushed), so births equal
+        // deaths — for out-set blocks, dag vertices, and pooled refcount
+        // headers alike.
+        let (ba, bd) =
+            (total.counter("outset.blocks_allocated"), total.counter("outset.blocks_dropped"));
+        check("block-conservation", ba == bd, format!("allocated {ba} == dropped {bd}"));
         let conservation = [
-            (
-                "block",
-                "outset.blocks_allocated",
-                "outset.blocks_reused",
-                "outset.blocks_recycled",
-                "outset.blocks_dropped",
-            ),
             (
                 "vertex",
                 "sched.vertex_alloc",
@@ -565,13 +559,6 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
                 format!("born {born} == dead {dead}"),
             );
         }
-        let (reused, allocated) =
-            (steady.counter("outset.blocks_reused"), steady.counter("outset.blocks_allocated"));
-        check(
-            "steady-state-reuse",
-            reused >= allocated,
-            format!("warm run: reused {reused} >= freshly allocated {allocated}"),
-        );
         // The tentpole claim: with the class pools warm, an identical
         // run mints no fresh vertices at all — the cold run retired far
         // more slabs than the warm run ever holds live at once.
@@ -582,12 +569,6 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
             format!("warm run: {va} fresh vertices, {vr} reused"),
         );
     }
-    let cached = outset::recycle::cached_blocks();
-    check(
-        "footprint-ceiling",
-        cached <= 2 * warm_cached + 64,
-        format!("free list {cached} blocks <= 2 x warm {warm_cached} + 64 (peak-live, not churn)"),
-    );
     let sched_cached = sched::recycle::cached_slabs();
     check(
         "sched-footprint-ceiling",
@@ -646,7 +627,7 @@ fn check_contention_bounds(d: &obs::Snapshot, workers: usize) -> bool {
     // W-1 rivals racing the same 32-slot block tail, so expected losses
     // are O(adds * (W-1) / B) plus the O(log cap) growth transient per
     // set. x4 slack absorbs the in-expectation part.
-    const BLOCK_SLOTS: u64 = 32; // outset::growth::BLOCK_SLOTS
+    const BLOCK_SLOTS: u64 = 32; // BLOCK_SLOTS in outset::tree
     const SLACK: u64 = 4;
     let bound = SLACK * (adds * (workers as u64 - 1)).div_ceil(BLOCK_SLOTS)
         + 2 * created * log_cap
@@ -1150,29 +1131,16 @@ fn growth_study(opts: &Opts) {
         f.adaptive_one_add.to_string(),
     ]);
     print_row(&[
-        "  …of which epoch domain".to_string(),
-        f.adaptive_domain.to_string(),
-        f.adaptive_domain.to_string(),
-    ]);
-    print_row(&[
         format!("fixed ({} lanes, superseded default)", f.fixed_lanes),
         f.fixed_fresh.to_string(),
         f.fixed_one_add.to_string(),
-    ]);
-    print_row(&[
-        format!("recycler standby ({} blocks, process-wide)", f.recycler_cached_blocks),
-        f.recycler_cached_bytes.to_string(),
-        f.recycler_cached_bytes.to_string(),
     ]);
     let mut r = Record::new("outset-footprint", "outset-tree-adaptive");
     r.input("fixed_lanes", f.fixed_lanes);
     r.output("adaptive_fresh_bytes", f.adaptive_fresh)
         .output("adaptive_one_add_bytes", f.adaptive_one_add)
-        .output("adaptive_domain_bytes", f.adaptive_domain)
         .output("fixed_fresh_bytes", f.fixed_fresh)
-        .output("fixed_one_add_bytes", f.fixed_one_add)
-        .output("recycler_cached_blocks", f.recycler_cached_blocks)
-        .output("recycler_cached_bytes", f.recycler_cached_bytes);
+        .output("fixed_one_add_bytes", f.fixed_one_add);
     rep.record(&r);
     println!("# wrote {}", rep.path().display());
 }

@@ -547,35 +547,18 @@ pub fn fanout_broadcast_probed<C: CounterFamily>(
 /// Heap footprints contrasting the adaptive single-lane start against the
 /// superseded fixed default (hardware threads, capped at 16) — the
 /// "single-dependent futures pay one word" claim, in bytes.
-///
-/// Live bytes (blocks linked into an out-set) and recycler bytes (blocks
-/// sitting free in the slab pool, ready for reuse) are reported
-/// **separately**: cached-but-free memory is a process-wide standby cost
-/// bounded by peak-live, not a per-out-set cost, and folding it into the
-/// per-object numbers would misattribute it to whichever out-set was
-/// measured last.
 #[derive(Clone, Copy, Debug)]
 pub struct FootprintReport {
-    /// A fresh adaptive out-set (1 lane, no blocks, private epoch domain).
+    /// A fresh adaptive out-set (1 lane, no blocks).
     pub adaptive_fresh: usize,
     /// An adaptive out-set holding one registered dependent.
     pub adaptive_one_add: usize,
-    /// The part of `adaptive_fresh` that is the private epoch
-    /// reclamation domain — a fixed once-per-out-set cost growable
-    /// out-sets pay and frozen ones do not.
-    pub adaptive_domain: usize,
     /// The fixed lane count the first iteration allocated up front.
     pub fixed_lanes: usize,
     /// A fresh fixed-lane out-set of that size.
     pub fixed_fresh: usize,
     /// The same, holding one registered dependent.
     pub fixed_one_add: usize,
-    /// Blocks sitting free in the block recycler when the report was
-    /// taken — standby memory, **not** part of any out-set's live bytes.
-    pub recycler_cached_blocks: usize,
-    /// The same standby pool in bytes
-    /// (`recycler_cached_blocks × block size`).
-    pub recycler_cached_bytes: usize,
 }
 
 /// Measure [`FootprintReport`] on this machine.
@@ -584,23 +567,13 @@ pub fn outset_footprint_report() -> FootprintReport {
     let fixed_lanes = cores.next_power_of_two().min(16);
     let adaptive = TreeOutsetObj::new();
     let adaptive_fresh = adaptive.footprint_bytes();
-    let adaptive_domain = adaptive.domain_footprint_bytes();
     let _ = adaptive.add(1, 0);
     let adaptive_one_add = adaptive.footprint_bytes();
     let fixed = TreeOutsetObj::with_lanes(fixed_lanes);
     let fixed_fresh = fixed.footprint_bytes();
     let _ = fixed.add(1, 0);
     let fixed_one_add = fixed.footprint_bytes();
-    FootprintReport {
-        adaptive_fresh,
-        adaptive_one_add,
-        adaptive_domain,
-        fixed_lanes,
-        fixed_fresh,
-        fixed_one_add,
-        recycler_cached_blocks: outset::recycle::cached_blocks(),
-        recycler_cached_bytes: outset::recycle::cached_bytes(),
-    }
+    FootprintReport { adaptive_fresh, adaptive_one_add, fixed_lanes, fixed_fresh, fixed_one_add }
 }
 
 /// Which raw counter the SNZI reproduction study (Figure 12) exercises.
@@ -821,26 +794,14 @@ mod tests {
     #[test]
     fn footprint_report_orders_as_documented() {
         let r = outset_footprint_report();
-        assert!(r.adaptive_domain > 0, "growable out-sets carry a reclamation domain");
-        assert!(
-            r.adaptive_fresh - r.adaptive_domain <= r.fixed_fresh,
-            "net of the fixed domain cost, the adaptive start must not cost more"
-        );
+        assert!(r.adaptive_fresh <= r.fixed_fresh, "the adaptive start must not cost more");
         assert!(r.adaptive_one_add > r.adaptive_fresh, "one add allocates the first block");
         if r.fixed_lanes > 1 {
             assert!(
-                r.fixed_fresh > r.adaptive_fresh - r.adaptive_domain,
+                r.fixed_fresh > r.adaptive_fresh,
                 "a multi-lane fixed table costs more than the single-lane start"
             );
         }
-        // The recycler's standby pool is reported in its own columns,
-        // never folded into the per-out-set live bytes (whose values
-        // above are pure shape arithmetic, pool warm or cold).
-        assert_eq!(
-            r.recycler_cached_bytes,
-            r.recycler_cached_blocks * outset::recycle::block_bytes(),
-            "cached bytes must be cached blocks x block size"
-        );
     }
 
     #[test]

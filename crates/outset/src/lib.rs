@@ -39,10 +39,9 @@
 //! probabilistic `grow`. See [`tree`] for the mechanism and
 //! `docs/outset-contention.md` for the contention accounting.
 //!
-//! Swept slot blocks are **recycled**: `finish` retires each block
-//! through the out-set's epoch domain into per-worker slab caches (the
-//! [`recycle`] module holds the probes), so steady-state
-//! future churn reaches zero allocator traffic.
+//! Slot blocks live and die with their out-set: `finish` sweeps each
+//! lane's chain in place, and the blocks go back to the allocator when
+//! the out-set drops (see [`tree`], "Block lifetime").
 //!
 //! ```
 //! use outset::{AddEdge, OutsetFamily, TreeOutset};
@@ -61,7 +60,6 @@
 
 pub mod growth;
 pub mod mutex;
-pub mod recycle;
 pub mod tree;
 
 pub use growth::GrowthPolicy;
@@ -84,10 +82,10 @@ pub enum AddEdge {
 /// A family of out-set implementations, generically drivable by the dag
 /// runtime and the benchmarks.
 ///
-/// Tokens are arbitrary `u64` payloads except the three top values
-/// (`u64::MAX - 2 ..= u64::MAX`), which the slot-based implementation
-/// reserves for its slot states and the recycler's poison stamp;
-/// [`OutsetFamily::add`] panics on them. The dag runtime stores vertex
+/// Tokens are arbitrary `u64` payloads except the two top values
+/// (`u64::MAX - 1 ..= u64::MAX`), which the slot-based implementation's
+/// `+2` slot-state bias cannot represent; [`OutsetFamily::add`] panics
+/// on them. The dag runtime stores vertex
 /// addresses, which can never collide with those.
 pub trait OutsetFamily: 'static {
     /// The per-vertex out-set object.
@@ -99,16 +97,6 @@ pub trait OutsetFamily: 'static {
 
     /// Create an empty, unsealed out-set.
     fn make() -> Self::Outset;
-
-    /// Create an empty, unsealed out-set pre-sized for an expected number
-    /// of dependents. A *hint*, never a bound: registering more (or
-    /// fewer) edges than hinted is always correct; implementations may
-    /// only use it to skip part of their adaptive warm-up. The default
-    /// ignores it.
-    fn make_hinted(expected_dependents: usize) -> Self::Outset {
-        let _ = expected_dependents;
-        Self::make()
-    }
 
     /// Register dependent-edge `token`. `key` spreads concurrent adders
     /// over internal structure (pass a worker/thread id or vertex
@@ -161,26 +149,6 @@ mod family_tests {
     #[test]
     fn mutex_family_contract() {
         exercise::<MutexOutset>();
-    }
-
-    #[test]
-    fn hinted_make_honours_the_contract() {
-        // The hint must not change semantics — register more edges than
-        // hinted, on both families, and still get exactly-once delivery.
-        fn exercise_hinted<F: OutsetFamily>(hint: usize) {
-            let set = F::make_hinted(hint);
-            for t in 0..200u64 {
-                assert_eq!(F::add(&set, t, t), AddEdge::Registered);
-            }
-            let mut got = Vec::new();
-            assert!(F::finish(&set, &mut |t| got.push(t)));
-            got.sort_unstable();
-            assert_eq!(got, (0..200u64).collect::<Vec<_>>());
-        }
-        for hint in [0, 1, 64, 100_000] {
-            exercise_hinted::<TreeOutset>(hint);
-            exercise_hinted::<MutexOutset>(hint);
-        }
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //!   (an explicit done-flag set by the computation's final task — the
 //!   contention-free mode used for dag execution — or global quiescence
 //!   for task-soup workloads).
-//! * [`slab`] — bounded per-worker free lists of uniform raw blocks with
-//!   a global overflow pool, so block-recycling layers above (the
-//!   out-set) reach zero allocator traffic in steady state. Workers
-//!   flush their caches to the shared lists at teardown.
+//! * [`slab`] — bounded per-worker free lists of uniform raw slabs with
+//!   a global overflow pool, so recycling layers reach zero allocator
+//!   traffic in steady state. Workers flush their caches to the shared
+//!   lists at teardown.
 //! * [`recycle`] — a fixed ladder of *size-class* slab pools (each one a
-//!   [`SlabPool`]) plus the process-wide recycle switch, serving the
+//!   [`SlabPool`]), serving the
 //!   layers whose hot objects are generic and so can't own a typed pool:
 //!   dag vertices and pooled refcount headers.
 //! * [`poolarc`] — [`PoolArc`], an `Arc` twin whose header allocation is

@@ -1,10 +1,8 @@
 //! Size-classed slab recycling for the runtime's small hot-path objects.
 //!
-//! The out-set recycler proved the recipe on one fixed block type;
-//! this module generalizes it to the *vertices and continuations*
-//! themselves, which cannot share one typed pool: `Vertex<C>` is a
-//! different type — and size — per counter family, and Rust has no
-//! generic statics. Instead a small fixed ladder of power-of-two **size
+//! The runtime's *vertices and continuations* cannot share one typed
+//! pool: `Vertex<C>` is a different type — and size — per counter
+//! family, and Rust has no generic statics. Instead a small fixed ladder of power-of-two **size
 //! classes** (each one a [`crate::slab::SlabPool`], so the per-worker
 //! cache / shared-overflow machinery is reused verbatim) serves every
 //! consumer whose layout fits: dag vertices, pooled reference-counted
@@ -23,10 +21,9 @@
 //! * **Poison stamps.** In debug builds every slab released to a class
 //!   pool is stamped with [`POISON`] words; acquire asserts the stamp.
 //!   A consumer reading recycled memory before re-initializing it trips
-//!   the assertion instead of silently observing stale bytes. (The
-//!   odd/even *generation* stamp of the out-set recycler guards
-//!   re-publication races of shared blocks; class slabs are never shared
-//!   while dead, so poison alone closes their surface.)
+//!   the assertion instead of silently observing stale bytes. Class
+//!   slabs are never shared while dead, so poison alone closes their
+//!   surface.
 //!
 //! ## Accounting
 //!
@@ -59,17 +56,10 @@ pub const CLASS_ALIGN: usize = 16;
 const CLASS_BYTES: [usize; 6] = [32, 64, 128, 256, 512, 1024];
 
 /// Per-thread cache bound per class (slabs); overflow spills half to the
-/// class's shared list, exactly as for out-set blocks.
+/// class's shared list.
 const CACHE_CAP: usize = 64;
 
-static POOLS: [SlabPool; 6] = [
-    SlabPool::new("sched.class32", 32, CACHE_CAP),
-    SlabPool::new("sched.class64", 64, CACHE_CAP),
-    SlabPool::new("sched.class128", 128, CACHE_CAP),
-    SlabPool::new("sched.class256", 256, CACHE_CAP),
-    SlabPool::new("sched.class512", 512, CACHE_CAP),
-    SlabPool::new("sched.class1024", 1024, CACHE_CAP),
-];
+static POOLS: [SlabPool; 6] = [const { SlabPool::new(CACHE_CAP) }; 6];
 
 /// Debug poison stamped over dead slabs while they sit in a pool.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
@@ -204,7 +194,7 @@ pub fn cached_slabs() -> usize {
 /// Bytes held across all class pools — the standby footprint, bounded by
 /// peak-live pooled objects.
 pub fn cached_bytes() -> usize {
-    POOLS.iter().map(|p| p.cached_bytes()).sum()
+    POOLS.iter().zip(CLASS_BYTES).map(|(p, bytes)| p.cached_slabs() * bytes).sum()
 }
 
 /// Move the current thread's class caches onto the shared lists so other

@@ -1,18 +1,17 @@
 //! Per-worker slab caches with a global overflow pool.
 //!
-//! The out-set recycler (and any future fixed-size-block consumer) wants
-//! allocator-free steady state: a block freed by one future's sweep
-//! should satisfy the next future's first add without touching `malloc`.
-//! Workers already carry identity and a private RNG ([`crate::WorkerCtx`]);
-//! this module gives each worker (thread) a bounded private cache of raw
-//! blocks per [`SlabPool`], spilling to the pool's shared free list when
-//! the cache overflows and refilling from it in batches when the cache
-//! runs dry.
+//! The size-classed recycler ([`crate::recycle`]) wants allocator-free
+//! steady state: a slab freed by one vertex should satisfy the next
+//! vertex's allocation without touching `malloc`. Workers already carry
+//! identity and a private RNG ([`crate::WorkerCtx`]); this module gives
+//! each worker (thread) a bounded private cache of raw slabs per
+//! [`SlabPool`], spilling to the pool's shared free list when the cache
+//! overflows and refilling from it in batches when the cache runs dry.
 //!
-//! The pool is deliberately type-erased (`*mut u8`): callers own both
-//! allocation and re-initialization of their blocks, so the pool never
-//! runs drop glue and never needs to know the block type. `slab_bytes`
-//! exists purely for footprint accounting.
+//! The pool is deliberately type-erased and size-agnostic (`*mut u8`):
+//! callers own allocation, layout and re-initialization of their slabs,
+//! so the pool never runs drop glue and never needs to know the slab
+//! type or size.
 //!
 //! Because workers *are* threads in this pool (`sched::run` spawns one
 //! scoped thread per worker), "per-worker cache" is realized as a
@@ -28,7 +27,6 @@
 //! quiescence after worker teardown.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -36,14 +34,10 @@ use parking_lot::Mutex;
 /// per-thread caches in front of it. Designed to live in a `static`
 /// (`new` is `const`).
 pub struct SlabPool {
-    name: &'static str,
-    slab_bytes: usize,
     /// Per-thread cache bound; overflow spills `cache_cap / 2` slabs to
     /// the shared list, refill pulls up to `cache_cap / 2` back.
     cache_cap: usize,
     shared: Mutex<Vec<*mut u8>>,
-    /// Slabs spilled from a full thread cache to the shared list (ever).
-    overflowed: AtomicU64,
 }
 
 // SAFETY: the raw pointers in `shared` are inert storage — the pool never
@@ -54,27 +48,10 @@ unsafe impl Send for SlabPool {}
 unsafe impl Sync for SlabPool {}
 
 impl SlabPool {
-    /// A pool of `slab_bytes`-sized slabs with per-thread caches bounded
-    /// at `cache_cap` slabs. Const, so pools can be `static`.
-    pub const fn new(name: &'static str, slab_bytes: usize, cache_cap: usize) -> SlabPool {
-        SlabPool {
-            name,
-            slab_bytes,
-            cache_cap,
-            shared: Mutex::new(Vec::new()),
-            overflowed: AtomicU64::new(0),
-        }
-    }
-
-    /// The pool's diagnostic name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Size of one slab in bytes (accounting only; the pool never reads
-    /// the memory).
-    pub fn slab_bytes(&self) -> usize {
-        self.slab_bytes
+    /// A pool with per-thread caches bounded at `cache_cap` slabs.
+    /// Const, so pools can be `static`.
+    pub const fn new(cache_cap: usize) -> SlabPool {
+        SlabPool { cache_cap, shared: Mutex::new(Vec::new()) }
     }
 
     /// Slabs on the shared list plus in the calling thread's cache.
@@ -94,16 +71,6 @@ impl SlabPool {
             })
             .unwrap_or(0);
         self.shared.lock().len() + mine
-    }
-
-    /// Bytes in [`cached_slabs`](SlabPool::cached_slabs).
-    pub fn cached_bytes(&self) -> usize {
-        self.cached_slabs() * self.slab_bytes
-    }
-
-    /// Slabs ever spilled from a full thread cache to the shared list.
-    pub fn overflowed(&self) -> u64 {
-        self.overflowed.load(Ordering::SeqCst)
     }
 
     /// Take one cached slab, preferring this thread's cache and
@@ -134,33 +101,18 @@ impl SlabPool {
     /// Hand one dead slab to the recycler. Ownership transfers to the
     /// pool until some [`acquire`](SlabPool::acquire) hands it out again
     /// (or [`trim`](SlabPool::trim) hands it back for freeing).
-    ///
-    /// Returns how many slabs overflowed from this thread's cache to the
-    /// shared list as a result (0 on the fast path).
-    pub fn release(&'static self, ptr: *mut u8) -> usize {
-        let spilled = with_cache(self, |slabs| {
+    pub fn release(&'static self, ptr: *mut u8) {
+        let cached = with_cache(self, |slabs| {
             slabs.push(ptr);
-            if slabs.len() <= self.cache_cap {
-                return 0;
+            if slabs.len() > self.cache_cap {
+                // Overflow: spill the oldest half in one lock acquisition.
+                let spill = self.cache_cap / 2 + 1;
+                self.shared.lock().extend(slabs.drain(..spill));
             }
-            // Overflow: spill the oldest half in one lock acquisition.
-            let spill = self.cache_cap / 2 + 1;
-            let mut shared = self.shared.lock();
-            shared.extend(slabs.drain(..spill));
-            spill
         });
-        match spilled {
-            Some(n) => {
-                if n > 0 {
-                    self.overflowed.fetch_add(n as u64, Ordering::SeqCst);
-                }
-                n
-            }
-            None => {
-                // No thread cache (teardown): shared list directly.
-                self.shared.lock().push(ptr);
-                0
-            }
+        if cached.is_none() {
+            // No thread cache (teardown): shared list directly.
+            self.shared.lock().push(ptr);
         }
     }
 
@@ -255,11 +207,10 @@ mod tests {
 
     #[test]
     fn release_then_acquire_round_trips() {
-        static POOL: SlabPool = SlabPool::new("test.round_trip", 64, 8);
+        static POOL: SlabPool = SlabPool::new(8);
         let a = leak_slab();
-        assert_eq!(POOL.release(a), 0);
+        POOL.release(a);
         assert_eq!(POOL.cached_slabs(), 1);
-        assert_eq!(POOL.cached_bytes(), 64);
         let got = POOL.acquire().expect("cached slab comes back");
         assert_eq!(got, a);
         assert_eq!(POOL.cached_slabs(), 0);
@@ -269,15 +220,15 @@ mod tests {
 
     #[test]
     fn overflow_spills_to_shared_and_refills() {
-        static POOL: SlabPool = SlabPool::new("test.overflow", 64, 4);
+        static POOL: SlabPool = SlabPool::new(4);
         let slabs: Vec<*mut u8> = (0..6).map(|_| leak_slab()).collect();
-        let mut spilled = 0;
         for &s in &slabs {
-            spilled += POOL.release(s);
+            POOL.release(s);
         }
-        assert!(spilled >= 3, "exceeding the cap must spill half the cache, got {spilled}");
-        assert_eq!(POOL.overflowed(), spilled as u64);
         assert_eq!(POOL.cached_slabs(), 6, "spilling keeps slabs in the recycler");
+        // Exceeding the cap spilled half the cache to the shared list.
+        let spilled = POOL.shared.lock().len();
+        assert!(spilled >= 3, "exceeding the cap must spill half the cache, got {spilled}");
         // All six come back (cache first, then a batched refill).
         let mut got = Vec::new();
         while let Some(p) = POOL.acquire() {
@@ -294,7 +245,7 @@ mod tests {
 
     #[test]
     fn flush_makes_cache_visible_to_other_threads() {
-        static POOL: SlabPool = SlabPool::new("test.flush", 64, 8);
+        static POOL: SlabPool = SlabPool::new(8);
         let a = leak_slab();
         POOL.release(a);
         POOL.flush_thread_cache();
@@ -305,7 +256,7 @@ mod tests {
 
     #[test]
     fn thread_exit_flushes_implicitly() {
-        static POOL: SlabPool = SlabPool::new("test.exit", 64, 8);
+        static POOL: SlabPool = SlabPool::new(8);
         let (tx, rx) = std::sync::mpsc::channel();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let t = std::thread::spawn(move || {
@@ -329,7 +280,7 @@ mod tests {
 
     #[test]
     fn trim_drains_shared_list_only() {
-        static POOL: SlabPool = SlabPool::new("test.trim", 64, 8);
+        static POOL: SlabPool = SlabPool::new(8);
         let a = leak_slab();
         let b = leak_slab();
         POOL.release(a);
@@ -350,8 +301,8 @@ mod tests {
 
     #[test]
     fn caches_are_per_pool() {
-        static A: SlabPool = SlabPool::new("test.per_pool_a", 64, 8);
-        static B: SlabPool = SlabPool::new("test.per_pool_b", 64, 8);
+        static A: SlabPool = SlabPool::new(8);
+        static B: SlabPool = SlabPool::new(8);
         let s = leak_slab();
         A.release(s);
         assert!(B.acquire().is_none(), "pools must not share caches");

@@ -39,26 +39,20 @@
 //! operations, with the broadcast cost paid once per future, linear in
 //! the number of dependents swept.
 //!
-//! ## Footprint: futures request the single-lane fast path
+//! ## Footprint: futures start in the single-lane shape
 //!
-//! Every future asks its out-set family for the **single-dependent
-//! shape** ([`outset::OutsetFamily::make_hinted`] with hint 1): under the
-//! adaptive [`TreeOutset`] this is one lane — one word of lane metadata —
-//! and the lane table grows only if that future's dependents actually
-//! contend (`docs/outset-contention.md` derives the bound). Derived
-//! futures ([`Ctx::future_then`], [`Ctx::future_join`]) do the same:
-//! pipeline and wavefront interior vertices overwhelmingly have one or
-//! two dependents. A future that is *known* to be a broadcast hub can
-//! declare it with [`Ctx::future_fanout`] and skip the growth transient.
+//! Every future's out-set is a fresh [`outset::OutsetFamily::make`]:
+//! under the adaptive [`TreeOutset`] this is one lane — one word of lane
+//! metadata — and the lane table grows only if that future's dependents
+//! actually contend (`docs/outset-contention.md` derives the bound).
+//! Derived futures ([`Ctx::future_then`], [`Ctx::future_join`]) do the
+//! same: pipeline and wavefront interior vertices overwhelmingly have one
+//! or two dependents, and a broadcast hub converges after a few lost
+//! install CASes.
 //!
-//! Slot-block lifetime is **not** tied to the handle: when the
-//! completion vertex sweeps the out-set, the swept blocks are retired
-//! through the out-set's epoch domain into the block recycler
-//! (`outset::recycle`) immediately — dropping the last [`FutureHandle`]
-//! clone afterwards frees only the out-set shell (lane table, lanes,
-//! any post-seal straggler blocks). Steady-state future churn therefore
-//! reaches zero allocator traffic for slot blocks: each new future's
-//! out-set is fed from blocks previous futures already retired.
+//! Slot blocks live as long as the out-set: the completion vertex's
+//! sweep reads them in place, and dropping the last [`FutureHandle`]
+//! clone frees the out-set with every block it grew.
 //!
 //! ## Caveat: deadlock is expressible
 //!
@@ -372,59 +366,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         T: Send + Sync + 'static,
         F: for<'b> FnOnce(Ctx<'b, C>) -> T + Send + 'static,
     {
-        self.future_fanout_in::<O, T, F>(1, body)
-    }
-
-    /// As [`future`](Ctx::future), declaring an expected number of
-    /// dependents. A hint, never a bound — touching the future more (or
-    /// less) often than declared is always correct; the out-set merely
-    /// pre-spreads so a known broadcast hub skips the adaptive growth
-    /// transient ([`outset::OutsetFamily::make_hinted`]).
-    ///
-    /// ```
-    /// use incounter::{DynConfig, DynSnzi};
-    /// use spdag::run_dag;
-    /// use std::sync::atomic::{AtomicU64, Ordering};
-    /// use std::sync::Arc;
-    ///
-    /// let hits = Arc::new(AtomicU64::new(0));
-    /// let h = Arc::clone(&hits);
-    /// run_dag::<DynSnzi, _>(DynConfig::default(), 2, move |mut ctx| {
-    ///     // Hub with many dependents: declare the fan-out up front.
-    ///     let f = ctx.future_fanout(256, |_| 1u64);
-    ///     let mut scope = ctx.into_scope();
-    ///     for _ in 0..256 {
-    ///         let (f, h) = (f.clone(), Arc::clone(&h));
-    ///         scope.fork(move |c| {
-    ///             c.touch(&f, move |_, v| {
-    ///                 h.fetch_add(*v, Ordering::Relaxed);
-    ///             });
-    ///         });
-    ///     }
-    /// });
-    /// assert_eq!(hits.load(Ordering::Relaxed), 256);
-    /// ```
-    pub fn future_fanout<T, F>(&mut self, expected_dependents: usize, body: F) -> FutureHandle<T>
-    where
-        T: Send + Sync + 'static,
-        F: for<'b> FnOnce(Ctx<'b, C>) -> T + Send + 'static,
-    {
-        self.future_fanout_in::<TreeOutset, T, F>(expected_dependents, body)
-    }
-
-    /// [`future_fanout`](Ctx::future_fanout) with an explicit out-set
-    /// family.
-    pub fn future_fanout_in<O, T, F>(
-        &mut self,
-        expected_dependents: usize,
-        body: F,
-    ) -> FutureHandle<T, O>
-    where
-        O: OutsetFamily,
-        T: Send + Sync + 'static,
-        F: for<'b> FnOnce(Ctx<'b, C>) -> T + Send + 'static,
-    {
-        self.future_raw::<O, T, _>(expected_dependents, move |c, set_value| {
+        self.future_raw::<O, T, _>(move |c, set_value| {
             let value = body(c);
             set_value.set(value);
         })
@@ -435,17 +377,13 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// returning the value, so combinators can produce the value inside
     /// nested touch continuations — which belong to the future's own
     /// finish scope and therefore always precede completion.
-    /// `fanout_hint` sizes the out-set for the expected dependent count
-    /// (1 = the single-dependent fast path).
-    fn future_raw<O, T, F>(&mut self, fanout_hint: usize, body: F) -> FutureHandle<T, O>
+    fn future_raw<O, T, F>(&mut self, body: F) -> FutureHandle<T, O>
     where
         O: OutsetFamily,
         T: Send + Sync + 'static,
         F: for<'b> FnOnce(Ctx<'b, C>, ValueSetter<T, O>) + Send + 'static,
     {
-        self.future_slot(fanout_hint, move |setter| {
-            BodySlot::from_closure(move |c: Ctx<'_, C>| body(c, setter))
-        })
+        self.future_slot(move |setter| BodySlot::from_closure(move |c: Ctx<'_, C>| body(c, setter)))
     }
 
     /// The wiring beneath every future constructor: build the shared
@@ -454,19 +392,19 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// value setter into the body's `BodySlot` — a plain closure for
     /// [`future_raw`](Ctx::future_in), a resumable strand frame for
     /// [`future_strand`](Ctx::future_strand).
-    fn future_slot<O, T, G>(&mut self, fanout_hint: usize, build: G) -> FutureHandle<T, O>
+    fn future_slot<O, T, G>(&mut self, build: G) -> FutureHandle<T, O>
     where
         O: OutsetFamily,
         T: Send + Sync + 'static,
         G: FnOnce(ValueSetter<T, O>) -> BodySlot<C>,
     {
         let core = PoolArc::new(FutureCore::<T, O> {
-            outset: O::make_hinted(fanout_hint),
+            outset: O::make(),
             value: UnsafeCell::new(None),
             completed: AtomicBool::new(false),
         });
         obs::counter!("spdag.futures_created").inc();
-        obs::trace::record(obs::EventKind::FutureCreate, fanout_hint as u64);
+        obs::trace::record(obs::EventKind::FutureCreate, &*core as *const FutureCore<T, O> as u64);
         let (cfg, worker) = (self.cfg, self.worker);
         let u = &mut *self.vertex;
         // Join the enclosing finish scope exactly like Scope::fork: one
@@ -623,8 +561,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         F: for<'b> FnOnce(Ctx<'b, C>, &A) -> T + Send + 'static,
     {
         let input = input.clone();
-        // Derived pipeline stages are single-dependent in the common case.
-        self.future_raw::<O, T, _>(1, move |c, set_value| {
+        self.future_raw::<O, T, _>(move |c, set_value| {
             c.touch(&input, move |c2, a| {
                 let value = f(c2, a);
                 set_value.set(value);
@@ -652,10 +589,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     {
         let left = left.clone();
         let right = right.clone();
-        // A join vertex, like a pipeline stage, usually feeds one
-        // dependent; its own fan-*in* (the two touches below) lands on
-        // the input futures' out-sets, not on this one.
-        self.future_raw::<O, T, _>(1, move |c, set_value| {
+        self.future_raw::<O, T, _>(move |c, set_value| {
             let left2 = left.clone();
             c.touch(&left, move |c2, _a| {
                 c2.touch(&right, move |c3, b| {
@@ -840,7 +774,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         T: Send + Sync + 'static,
         S: Strand<C, T>,
     {
-        self.future_slot(1, move |setter| {
+        self.future_slot(move |setter| {
             BodySlot::from_strand(ValueStrandAdapter { strand, setter: Some(setter) })
         })
     }
@@ -1020,8 +954,11 @@ mod tests {
                 // The hub completes only after all touches landed, so the
                 // contended registration path is what's measured.
                 let f = ctx.future_in::<EagerTree, _, _>(move |_| {
+                    // Poll with a sleep, not a spin: on a 2-CPU box a
+                    // spinning hub would leave the three adders sharing
+                    // one CPU, where they rarely race an install CAS.
                     while r.load(Ordering::Acquire) < n {
-                        std::hint::spin_loop();
+                        std::thread::sleep(std::time::Duration::from_micros(50));
                     }
                     1u64
                 });
