@@ -36,7 +36,7 @@
 //! allocated + reused == recycled + dropped      (live = 0)
 //! ```
 //!
-//! and the standby footprint ([`cached_bytes`]) is bounded by the peak
+//! and the standby footprint ([`cached_slabs`]) is bounded by the peak
 //! number of simultaneously-live pooled objects — a slab only enters a
 //! pool when an object dies, so the pool can never hold more slabs than
 //! the high-water mark of births minus deaths. [`trim`] is the release
@@ -189,12 +189,6 @@ fn release(class: u8, ptr: *mut u8) {
 /// thread's caches (see [`SlabPool::cached_slabs`]).
 pub fn cached_slabs() -> usize {
     POOLS.iter().map(|p| p.cached_slabs()).sum()
-}
-
-/// Bytes held across all class pools — the standby footprint, bounded by
-/// peak-live pooled objects.
-pub fn cached_bytes() -> usize {
-    POOLS.iter().zip(CLASS_BYTES).map(|(p, bytes)| p.cached_slabs() * bytes).sum()
 }
 
 /// Move the current thread's class caches onto the shared lists so other
